@@ -43,9 +43,11 @@ from .switching import (
     switched_storage,
 )
 from .interconnect import (
+    AffineField,
     ComposedSystem,
     FullState,
     PortPower,
+    affine_field,
     compose,
     composed_vector_field,
     composite_storage,

@@ -24,6 +24,7 @@ produce byte-identical serialized trajectories.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .interconnect import (
     ComposedSystem,
     FullState,
+    affine_field,
     composed_vector_field,
     port_power,
 )
@@ -47,6 +49,7 @@ from .switching import (
 
 __all__ = [
     "IntegratorOptions",
+    "STAT_KEYS",
     "Trajectory",
     "EventIsolationError",
     "DivergenceError",
@@ -107,7 +110,8 @@ class Trajectory:
 
     Arrays are immutable by convention once returned. `event_pre` marks
     left-limit samples recorded just before a switch; their sigma is the
-    pre-switch mode by design.
+    pre-switch mode by design. `stats` holds the engine's counters (keys
+    `STAT_KEYS`); a trajectory rebuilt from artifacts carries none.
     """
 
     times: np.ndarray
@@ -132,6 +136,7 @@ class Trajectory:
     event_pre: np.ndarray
     sys: object | None = field(default=None, repr=False)
     constant_input: bool = True
+    stats: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.times.size
@@ -181,10 +186,28 @@ def _step_with_error(f, t, y, h, k1=None):
     return y5, err
 
 
-class _Engine:
-    """Shared hybrid stepping loop; physics enters through rhs/g_of closures."""
+STAT_KEYS = (
+    "step_attempts",
+    "rejected_steps",
+    "rhs_evals",
+    "cached_steps",
+    "forced_accepts",
+    "bisection_propagations",
+)
 
-    def __init__(self, rhs, g_of, proj: ProjectionSystem, imu: int, y0, sigma0, opts):
+
+class _Engine:
+    """Shared hybrid stepping loop; physics enters through rhs/g_of closures.
+
+    With an `affine` field (see `interconnect.AffineField`) every stage
+    evaluates y' = M_sigma y + c_sigma, and a step of length dt_max is one
+    cached pair of affine maps per mode: the DP5(4) tableau applied to the
+    identity gives the 5th-order endpoint map and the embedded error map of
+    the augmented linear system, so such a step costs two matvecs.
+    """
+
+    def __init__(self, rhs, g_of, proj: ProjectionSystem, imu: int, y0, sigma0, opts,
+                 affine=None):
         self.rhs = rhs
         self.g_of = g_of
         self.proj = proj
@@ -193,9 +216,12 @@ class _Engine:
         self.y = np.asarray(y0, dtype=float).copy()
         self.sigma = sigma0
         self.opts = opts
+        self.affine = affine
         self.t = 0.0
         self.samples: list[tuple[float, np.ndarray, frozenset, bool]] = []
         self.ledger: list[SwitchEvent] = []
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
+        self._modes: dict = {}
 
     # -- recording -------------------------------------------------------
 
@@ -210,25 +236,35 @@ class _Engine:
 
     # -- mode plumbing ----------------------------------------------------
 
-    def _mask(self, sigma) -> np.ndarray:
-        m = np.zeros(self.p, dtype=bool)
-        if sigma:
-            m[list(sigma)] = True
-        return m
-
-    def _f(self, mask):
-        rhs = self.rhs
-        return lambda t, y: rhs(t, y, mask)
+    def _mode(self, sigma):
+        """(stage field, dt_max step maps or None), built on the mode's first visit."""
+        mode = self._modes.get(sigma)
+        if mode is not None:
+            return mode
+        if self.affine is None:
+            mask = np.zeros(self.p, dtype=bool)
+            if sigma:
+                mask[list(sigma)] = True
+            rhs = self.rhs
+            mode = (lambda t, y: rhs(t, y, mask), None)
+        else:
+            Z = self.affine.augmented(sigma)
+            N = Z.shape[0] - 1
+            M, c = Z[:N, :N].copy(), Z[:N, N].copy()
+            S, E = _step_with_error(lambda t, Y: Z @ Y, 0.0, np.eye(N + 1), self.opts.dt_max)
+            maps = (S[:N, :N].copy(), S[:N, N].copy(), E[:N, :N].copy(), E[:N, N].copy())
+            mode = (lambda t, y: M @ y + c, maps)
+        self._modes[sigma] = mode
+        return mode
 
     # -- error norm -------------------------------------------------------
 
     def _error_norm(self, err, y0, y1) -> float:
         if err.size == 0:
             return 0.0
-        scale = self.opts.atol + self.opts.rtol * np.maximum(np.abs(y0), np.abs(y1))
-        with np.errstate(invalid="ignore", over="ignore"):
-            val = float(np.sqrt(np.mean((err / scale) ** 2)))
-        return val if np.isfinite(val) else np.inf
+        r = err / (self.opts.atol + self.opts.rtol * np.maximum(np.abs(y0), np.abs(y1)))
+        val = math.sqrt(float(r @ r) / r.size)
+        return val if math.isfinite(val) else math.inf
 
     # -- event isolation ---------------------------------------------------
 
@@ -246,6 +282,8 @@ class _Engine:
         for _ in range(256):
             mid = 0.5 * (lo + hi)
             y_mid, _ = _propagate(f, t, y, mid, k1)
+            self.stats["bisection_propagations"] += 1
+            self.stats["rhs_evals"] += 5
             phi_mid = extract(t + mid, y_mid)
             if phi_mid > 0.0:
                 lo = mid
@@ -281,6 +319,7 @@ class _Engine:
     def _apply_events(self, f, t, y, s_apply, k1):
         """Advance to the application point, clamp, recompute sigma, classify."""
         y_ev, _ = _propagate(f, t, y, s_apply, k1)
+        self.stats["rhs_evals"] += 5
         t_ev = t + s_apply
         mu = y_ev[self.imu :]
         np.clip(mu, 0.0, None, out=mu)
@@ -298,6 +337,7 @@ class _Engine:
 
     def run(self):
         opts = self.opts
+        stats = self.stats
         horizon = opts.horizon
         self._record(self.t, self.y, self.sigma)
         if horizon <= 0:
@@ -306,54 +346,68 @@ class _Engine:
         next_rec = min(stride, horizon)
         tiny = 1e-13 * max(1.0, horizon)
         h = min(opts.dt_init, opts.dt_max, horizon)
-        while self.t < horizon - tiny:
-            cap = min(h, opts.dt_max, horizon - self.t)
-            if next_rec > self.t + tiny:
-                cap = min(cap, next_rec - self.t)
-            h_try = cap
-            mask = self._mask(self.sigma)
-            f = self._f(mask)
-            k1 = f(self.t, self.y)
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.t < horizon - tiny:
+                cap = min(h, opts.dt_max, horizon - self.t)
+                if next_rec > self.t + tiny:
+                    cap = min(cap, next_rec - self.t)
+                h_try = cap
+                f, maps = self._mode(self.sigma)
+                k1 = None
                 while True:
-                    y_new, err = _step_with_error(f, self.t, self.y, h_try, k1)
+                    stats["step_attempts"] += 1
+                    if maps is not None and h_try == opts.dt_max:
+                        P, q, E, e = maps
+                        y_new, err = P @ self.y + q, E @ self.y + e
+                        stats["cached_steps"] += 1
+                    else:
+                        if k1 is None:
+                            k1 = f(self.t, self.y)
+                            stats["rhs_evals"] += 1
+                        y_new, err = _step_with_error(f, self.t, self.y, h_try, k1)
+                        stats["rhs_evals"] += 6
                     err_norm = self._error_norm(err, self.y, y_new)
-                    if err_norm <= 1.0 or h_try <= opts.dt_min * (1 + 1e-12):
+                    if err_norm <= 1.0:
                         break
+                    if h_try <= opts.dt_min * (1 + 1e-12):
+                        stats["forced_accepts"] += 1
+                        break
+                    stats["rejected_steps"] += 1
                     h_try = max(
                         opts.dt_min, h_try * max(0.2, 0.9 * err_norm ** -0.2)
                     )
-            if not np.all(np.isfinite(y_new)):
-                raise DivergenceError(
-                    f"non-finite state at t={self.t!r}", self.t, self.y.copy()
-                )
-            # event detection on the accepted span
-            if self.p:
-                mu_end = y_new[self.imu :]
-                g_end = self.g_of(self.t + h_try, y_new)
-                act = [
-                    i for i in range(self.p)
-                    if not mask[i] and mu_end[i] < 0.0
-                ]
-                deact = [i for i in range(self.p) if mask[i] and g_end[i] > 0.0]
-                if act or deact:
-                    s_apply = self._locate_earliest(
-                        f, self.t, self.y, h_try, k1, act, deact, mu_end, g_end
+                if not np.isfinite(y_new).all():
+                    raise DivergenceError(
+                        f"non-finite state at t={self.t!r}", self.t, self.y.copy()
                     )
-                    self._apply_events(f, self.t, self.y, s_apply, k1)
-                    continue
-            self.t = self.t + h_try
-            self.y = y_new
-            if next_rec <= self.t + tiny:
-                self._record(self.t, self.y, self.sigma)
-                while next_rec <= self.t + tiny:
-                    next_rec += stride
-                next_rec = min(next_rec, horizon)
-            if err_norm > 0:
-                h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            else:
-                h = h_try * 5.0
-            h = min(h, opts.dt_max)
+                # event detection on the accepted span
+                if self.p:
+                    mu_end = y_new[self.imu :]
+                    g_end = self.g_of(self.t + h_try, y_new)
+                    sigma = self.sigma
+                    act = [i for i in range(self.p) if i not in sigma and mu_end[i] < 0.0]
+                    deact = [i for i in range(self.p) if i in sigma and g_end[i] > 0.0]
+                    if act or deact:
+                        if k1 is None:
+                            k1 = f(self.t, self.y)
+                            stats["rhs_evals"] += 1
+                        s_apply = self._locate_earliest(
+                            f, self.t, self.y, h_try, k1, act, deact, mu_end, g_end
+                        )
+                        self._apply_events(f, self.t, self.y, s_apply, k1)
+                        continue
+                self.t = self.t + h_try
+                self.y = y_new
+                if next_rec <= self.t + tiny:
+                    self._record(self.t, self.y, self.sigma)
+                    while next_rec <= self.t + tiny:
+                        next_rec += stride
+                    next_rec = min(next_rec, horizon)
+                if err_norm > 0:
+                    h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                else:
+                    h = h_try * 5.0
+                h = min(h, opts.dt_max)
         self._record(self.t, self.y, self.sigma)
 
 
@@ -426,70 +480,30 @@ def simulate(
     g0 = proj.values(initial.x)
     sigma0 = compute_sigma(initial.mu, g0)
     y0 = np.concatenate([initial.x, initial.lam, initial.mu])
-    engine = _Engine(rhs, g_of, proj, imu, y0, sigma0, opts)
+    # the problem's types choose the path: compiled per mode, or rhs per stage
+    affine = affine_field(sys, v_fn(0.0) if v_fn is not None else None) if v_const else None
+    engine = _Engine(rhs, g_of, proj, imu, y0, sigma0, opts, affine)
     engine.run()
 
     rows = engine.samples
     T = len(rows)
-    out = {
-        "times": np.empty(T),
-        "x": np.empty((T, n)),
-        "lam": np.empty((T, m)),
-        "mu": np.empty((T, p)),
-        "g": np.empty((T, p)),
-        "x_dot": np.empty((T, n)),
-        "lam_dot": np.empty((T, m)),
-        "mu_dot": np.empty((T, p)),
-        "p_tilde": np.empty(T),
-        "s_sigma": np.empty(T),
-        "s_tilde": np.empty(T),
-        "power_eq": np.empty(T),
-        "power_ineq": np.empty(T),
-        "power_ext": np.empty(T),
-    }
-    sigmas = []
-    pre_flags = np.zeros(T, dtype=bool)
-    for k, (t, y, sigma, pre) in enumerate(rows):
-        x, lam, mu = y[:n], y[n:imu], y[imu:]
-        st = FullState(x, lam, mu, sigma)
-        vv = v_fn(t) if v_fn is not None else None
-        vd = vd_fn(t) if vd_fn is not None else None
-        derivs = composed_vector_field(sys, st, vv)
-        power = port_power(sys, st, derivs, vd)
-        pt = krasovskii_storage(sys.bm, derivs[0], derivs[1])
-        ss = switched_storage(proj, sigma, derivs[2])
-        out["times"][k] = t
-        out["x"][k] = x
-        out["lam"][k] = lam
-        out["mu"][k] = mu
-        out["g"][k] = proj.values(x)
-        out["x_dot"][k] = derivs[0]
-        out["lam_dot"][k] = derivs[1]
-        out["mu_dot"][k] = derivs[2]
-        out["p_tilde"][k] = pt
-        out["s_sigma"][k] = ss
-        out["s_tilde"][k] = pt + ss
-        out["power_eq"][k] = power.equality
-        out["power_ineq"][k] = power.inequality
-        out["power_ext"][k] = power.external
-        sigmas.append(sigma)
-        pre_flags[k] = pre
+    times = np.array([r[0] for r in rows])
+    Y = np.array([r[1] for r in rows]).reshape(T, imu + p)
+    sigmas = [r[2] for r in rows]
+    pre_flags = np.array([r[3] for r in rows], dtype=bool)
+    X = Y[:, :n]
+    VD = np.array([vd_fn(t) for t in times]).reshape(T, n) if vd_fn is not None else None
+    if affine is not None:
+        D = affine.derivatives(Y, sigmas)
+        cols = _affine_columns(sys, affine, X, D, VD)
+    else:
+        cols = _generic_columns(sys, Y, times, sigmas, v_fn, VD)
     return Trajectory(
-        times=out["times"],
-        x=out["x"],
-        lam=out["lam"],
-        mu=out["mu"],
-        g=out["g"],
+        times=times,
+        x=X,
+        lam=Y[:, n:imu],
+        mu=Y[:, imu:],
         sigma=sigmas,
-        x_dot=out["x_dot"],
-        lam_dot=out["lam_dot"],
-        mu_dot=out["mu_dot"],
-        p_tilde=out["p_tilde"],
-        s_sigma=out["s_sigma"],
-        s_tilde=out["s_tilde"],
-        power_eq=out["power_eq"],
-        power_ineq=out["power_ineq"],
-        power_ext=out["power_ext"],
         ledger=engine.ledger,
         opts=opts,
         kind="composed",
@@ -497,7 +511,62 @@ def simulate(
         event_pre=pre_flags,
         sys=sys,
         constant_input=v_const,
+        stats=engine.stats,
+        **cols,
     )
+
+
+def _affine_columns(sys: ComposedSystem, affine, X, D, VD) -> dict:
+    """Derived columns of an affine run from its field rows D, vectorized over samples."""
+    n, imu = sys.n, sys.n + sys.m
+    x_dot, lam_dot, mu_dot = D[:, :n], D[:, n:imu], D[:, imu:]
+    p_tilde = 0.5 * np.einsum("ki,ij,kj->k", x_dot, sys.bm.tau_x, x_dot)
+    if sys.m:
+        p_tilde += 0.5 * np.einsum("ki,ij,kj->k", lam_dot, sys.bm.tau_lam, lam_dot)
+    # mu_dot rows are already zero on each sample's clamped indices
+    s_sigma = 0.5 * (mu_dot**2) @ sys.proj.tau_mu
+    y_rate = mu_dot @ affine.G
+    power_ineq = np.einsum("ki,ki->k", x_dot, y_rate)
+    if VD is None:
+        power_ext = np.zeros(len(X))
+        power_eq = -power_ineq
+    else:
+        power_ext = -np.einsum("ki,ki->k", VD, x_dot)
+        power_eq = -np.einsum("ki,ki->k", y_rate + VD, x_dot)
+    return {
+        "g": affine.constraint_values(X),
+        "x_dot": x_dot, "lam_dot": lam_dot, "mu_dot": mu_dot,
+        "p_tilde": p_tilde, "s_sigma": s_sigma, "s_tilde": p_tilde + s_sigma,
+        "power_eq": power_eq, "power_ineq": power_ineq, "power_ext": power_ext,
+    }
+
+
+def _generic_columns(sys: ComposedSystem, Y, times, sigmas, v_fn, VD) -> dict:
+    """Derived columns sample by sample through the oracles (any problem type)."""
+    n, m, p = sys.n, sys.m, sys.p
+    imu = n + m
+    T = len(times)
+    cols = {"g": np.empty((T, p)), "x_dot": np.empty((T, n)),
+            "lam_dot": np.empty((T, m)), "mu_dot": np.empty((T, p))}
+    for name in ("p_tilde", "s_sigma", "s_tilde", "power_eq", "power_ineq", "power_ext"):
+        cols[name] = np.empty(T)
+    for k in range(T):
+        y, sigma = Y[k], sigmas[k]
+        st = FullState(y[:n], y[n:imu], y[imu:], sigma)
+        vv = v_fn(times[k]) if v_fn is not None else None
+        derivs = composed_vector_field(sys, st, vv)
+        power = port_power(sys, st, derivs, VD[k] if VD is not None else None)
+        pt = krasovskii_storage(sys.bm, derivs[0], derivs[1])
+        ss = switched_storage(sys.proj, sigma, derivs[2])
+        cols["g"][k] = sys.proj.values(st.x)
+        cols["x_dot"][k], cols["lam_dot"][k], cols["mu_dot"][k] = derivs
+        cols["p_tilde"][k] = pt
+        cols["s_sigma"][k] = ss
+        cols["s_tilde"][k] = pt + ss
+        cols["power_eq"][k] = power.equality
+        cols["power_ineq"][k] = power.inequality
+        cols["power_ext"][k] = power.external
+    return cols
 
 
 def simulate_projection(
@@ -592,6 +661,7 @@ def simulate_projection(
         event_pre=pre_flags,
         sys=proj,
         constant_input=u_const,
+        stats=engine.stats,
     )
 
 
@@ -660,6 +730,7 @@ def concat_trajectories(a: Trajectory, b: Trajectory) -> Trajectory:
         event_pre=cat(a.event_pre, b.event_pre),
         sys=a.sys,
         constant_input=a.constant_input and b.constant_input,
+        stats={k: a.stats.get(k, 0) + b.stats.get(k, 0) for k in {**a.stats, **b.stats}},
     )
 
 

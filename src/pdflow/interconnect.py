@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brayton_moser import BmSystem, bm_vector_field, krasovskii_storage
-from .problem import ConvexProblem
+from .problem import ConvexProblem, Quadratic
 from .switching import (
     ProjectionSystem,
     compute_sigma,
@@ -31,6 +31,8 @@ from .switching import (
 )
 
 __all__ = [
+    "AffineField",
+    "affine_field",
     "ComposedSystem",
     "FullState",
     "PortPower",
@@ -156,3 +158,73 @@ def port_power(sys: ComposedSystem, state: FullState, derivatives, v_dot=None) -
         external = -float(v_dot @ x_dot)
         equality = -float((y_rate + v_dot) @ x_dot)
     return PortPower(equality=equality, inequality=inequality, external=external)
+
+
+class AffineField:
+    """The composed field of a QP under constant input, compiled per mode.
+
+    With a quadratic objective, affine constraints and a constant input v the
+    field is linear inside each mode sigma: y' = M_sigma y + c_sigma for
+    y = (x, lam, mu). The augmented matrix [[M, c], [0, 0]] of the mode with
+    no index clamped is built once; a mode's matrix zeroes the mu rows of its
+    clamped indices and is cached on the mode's first visit.
+    """
+
+    def __init__(self, sys: ComposedSystem, v=None):
+        n, m, p = sys.n, sys.m, sys.p
+        self.imu, self.size = n + m, n + m + p
+        obj, eq = sys.problem.objective, sys.problem.equality
+        tx, tl = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
+        self.G, self.d = sys.proj._affine or (np.zeros((0, n)), np.zeros(0))
+        c = obj.c if v is None else obj.c + np.asarray(v, dtype=float)
+        imu, size = self.imu, self.size
+        Z = np.zeros((size + 1, size + 1))
+        Z[:n, :n] = -(tx @ obj.H)
+        Z[:n, size] = -(tx @ c)
+        if m:
+            Z[:n, n:imu] = -(tx @ eq.A.T)
+            Z[n:imu, :n] = tl @ eq.A
+            Z[n:imu, size] = tl @ eq.b
+        if p:
+            tau = sys.proj.tau_mu
+            Z[:n, imu:size] = -(tx @ self.G.T)
+            Z[imu:size, :n] = self.G / tau[:, None]
+            Z[imu:size, size] = self.d / tau
+        self._modes = {frozenset(): Z}
+
+    def augmented(self, sigma: frozenset) -> np.ndarray:
+        """[[M_sigma, c_sigma], [0, 0]]; treat as read-only."""
+        Z = self._modes.get(sigma)
+        if Z is None:
+            Z = self._modes[frozenset()].copy()
+            Z[[self.imu + i for i in sorted(sigma)]] = 0.0
+            self._modes[sigma] = Z
+        return Z
+
+    def derivatives(self, Y: np.ndarray, sigmas) -> np.ndarray:
+        """Field at each row of Y under that row's mode, one matmul per run of equal modes."""
+        D = np.empty_like(Y)
+        size = self.size
+        start = 0
+        for k in range(1, len(sigmas) + 1):
+            if k == len(sigmas) or sigmas[k] != sigmas[start]:
+                Z = self.augmented(sigmas[start])
+                D[start:k] = Y[start:k] @ Z[:size, :size].T + Z[:size, size]
+                start = k
+        return D
+
+    def constraint_values(self, X: np.ndarray) -> np.ndarray:
+        """g at each row of X."""
+        return X @ self.G.T + self.d
+
+
+def affine_field(sys: ComposedSystem, v=None) -> AffineField | None:
+    """Compile the field when the problem's types make it affine per mode.
+
+    Needs a Quadratic objective and affine inequalities (equalities are always
+    affine); `v` must be None or a constant vector. Returns None otherwise.
+    """
+    affine_ineq = sys.p == 0 or sys.proj._affine is not None
+    if isinstance(sys.problem.objective, Quadratic) and affine_ineq:
+        return AffineField(sys, v)
+    return None

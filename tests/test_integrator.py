@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from pdflow import (
+    ConvexProblem,
     DivergenceError,
     EventIsolationError,
     IntegratorOptions,
+    SmoothScalar,
     compose,
     compute_sigma,
+    concat_trajectories,
     event_functions,
     full_state,
     quadratic_problem,
@@ -16,7 +19,12 @@ from pdflow import (
     step,
     write_trajectory_csv,
 )
-from pdflow.integrator import read_ledger_csv, read_trajectory_csv, write_ledger_csv
+from pdflow.integrator import (
+    STAT_KEYS,
+    read_ledger_csv,
+    read_trajectory_csv,
+    write_ledger_csv,
+)
 
 SCALAR = quadratic_problem([[2.0]], [-4.0], 4.0)  # (x-2)^2, flow rate 2
 CONST_G = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[0.0]], d=[-1.0])  # g = -1 always
@@ -241,3 +249,35 @@ def test_options_validation():
         IntegratorOptions(horizon=1.0, event_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorOptions(horizon=1.0, record_stride=0.0)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_forced_accepts_at_dt_min_are_counted(compiled):
+    prob = SCALAR
+    if not compiled:
+        obj = prob.objective
+        prob = ConvexProblem(SmoothScalar(obj.value, obj.grad, obj.hess),
+                             prob.equality, (), prob.n)
+    sys = compose(prob, [1.0], [], [])
+    # dt_min = dt_max and a tolerance the first step cannot meet: it is forced
+    opts = IntegratorOptions(horizon=1.0, dt_init=0.25, dt_min=0.25, dt_max=0.25,
+                             record_stride=1.0, rtol=1e-15, atol=1e-15)
+    stats = simulate(sys, full_state(sys, [0.0]), opts).stats
+    assert stats["forced_accepts"] >= 1
+    assert stats["rejected_steps"] == 0  # no attempt is above dt_min, so none is rejected
+    assert (stats["cached_steps"] > 0) == compiled
+
+
+def test_stats_count_rejections_and_bisections_and_concat_sums_them():
+    sys = compose(CONST_G, [1.0], [], [2.0])
+    opts = IntegratorOptions(horizon=3.0, dt_init=0.1, dt_max=0.1, record_stride=0.5,
+                             rtol=1e-12, atol=1e-14)
+    a = simulate(sys, full_state(sys, [0.0], mu=[0.5]), opts)
+    assert set(a.stats) == set(STAT_KEYS)
+    assert a.stats["bisection_propagations"] > 0  # one event at t = 1
+    assert a.stats["rejected_steps"] > 0
+    assert a.stats["forced_accepts"] == 0
+    end = a.final_state
+    b = simulate(sys, full_state(sys, end.x, end.lam, end.mu), opts)
+    joined = concat_trajectories(a, b)
+    assert joined.stats == {k: a.stats[k] + b.stats[k] for k in STAT_KEYS}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pdflow.cli import main
+from pdflow.cli import _reconstruct_trajectory, main
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
 
 
@@ -126,6 +126,20 @@ def test_verify_passes_then_fails_after_tamper(tmp_path, scenario_dir):
     assert main(["verify", "--dir", str(out)]) == 3
 
 
+def test_verify_fails_an_unconverged_run(tmp_path, scenario_dir):
+    out = tmp_path / "short"
+    scn = str(scenario_dir / "scalar_ineq.json")
+    assert main(["simulate", "--scenario", scn, "--out", str(out), "--horizon", "4"]) == 0
+    assert main(["oracle", "--scenario", scn, "--out", str(out)]) == 0
+    assert main(["verify", "--dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    statuses = {r["name"]: r["status"] for r in report["reports"]}
+    assert statuses["convergence"] == "inconclusive"
+    assert not report["all_passed"]
+    # a run rebuilt from its artifacts carries no engine counters
+    assert _reconstruct_trajectory(load_scenario(out / "manifest.json"), out).stats == {}
+
+
 def test_verify_missing_artifacts(tmp_path):
     assert main(["verify", "--dir", str(tmp_path / "nope")]) == 1
 
@@ -190,6 +204,23 @@ def test_hvac_day_flat_price_zero_reduction(tmp_path, scenario_dir, capsys):
     # baseline uses the same flat price, so peaks cancel exactly
     assert "0.0000 kW" in text
     assert qs[0] == pytest.approx(qs[1], abs=1e-6)
+
+
+def test_hvac_day_beyond_oracle_limit_exits_1(tmp_path, scenario_dir, capsys):
+    # 11 zones give p = 22 comfort bounds, above the enumeration oracle's 20
+    raw = load_raw(scenario_dir, "hvac_four_zone")
+    N = 11
+    raw["hvac"]["network"].update(C=[9.2] * N, R_amb=[11.5] * N, d=[0.5] * N)
+    for key in ("gamma", "T_ref", "b_util", "T_min", "T_max"):
+        raw["hvac"]["welfare"][key] = [raw["hvac"]["welfare"][key][0]] * N
+    raw["dynamics"]["tau_T"] = [1.0] * N
+    init = raw["dynamics"]["initial"]
+    init.update(T=[22.0] * N, mu_low=[1.0] * N, mu_high=[1.0] * N)
+    raw["outputs"]["dir"] = str(tmp_path / "day11")
+    path = tmp_path / "eleven.json"
+    path.write_text(json.dumps(raw))
+    assert main(["hvac-day", "--scenario", str(path)]) == 1
+    assert "oracle failed" in capsys.readouterr().err
 
 
 def test_hvac_day_requires_hvac_scenario(scenario_dir):
