@@ -407,7 +407,7 @@ class _Engine:
                     h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
                 else:
                     h = h_try * 5.0
-                h = min(h, opts.dt_max)
+                h = min(max(h, opts.dt_min), opts.dt_max)
         self._record(self.t, self.y, self.sigma)
 
 

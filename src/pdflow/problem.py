@@ -1,4 +1,4 @@
-"""Convex problem descriptions, KKT machinery, and a brute-force active-set oracle.
+"""Convex problem descriptions, KKT machinery, and a dual active-set oracle.
 
 The problem class handled throughout is
 
@@ -37,11 +37,15 @@ __all__ = [
 
 
 class InfeasibleProblemError(RuntimeError):
-    """No candidate active set yields a valid KKT point."""
+    """The active-set oracle found no KKT point within tolerance.
+
+    Either the constraints admit no point at all, or rounding kept the solve
+    from reaching the requested KKT residual.
+    """
 
 
 class OracleCapabilityError(ValueError):
-    """Problem falls outside what the enumeration oracle can solve exactly."""
+    """The problem is not quadratic/affine, so the active-set oracle cannot solve it."""
 
 
 def _vec(a, name: str) -> np.ndarray:
@@ -277,7 +281,7 @@ def quadratic_problem(H, c, const=0.0, A_eq=None, b_eq=None, G=None, d=None) -> 
 
     Objective 0.5 x'Hx + c'x + const, equalities A_eq x + b_eq = 0 and
     inequality rows G_j x + d_j <= 0. This is the form the scenario files and
-    the enumeration oracle work with.
+    the active-set oracle work with.
     """
     obj = Quadratic(H, c, const)
     n = obj.n
@@ -374,7 +378,7 @@ def quadratic_data(problem: ConvexProblem):
     """Extract (H, c, A, b, G, d) or raise OracleCapabilityError.
 
     Only problems with a Quadratic objective and purely affine constraints
-    can be solved exactly by the enumeration oracle.
+    can be solved exactly by the active-set oracle.
     """
     if not isinstance(problem.objective, Quadratic):
         raise OracleCapabilityError("objective is not quadratic")
@@ -387,63 +391,138 @@ def quadratic_data(problem: ConvexProblem):
     return (
         problem.objective.H,
         problem.objective.c,
-        problem.equality.A,
+        problem.equality.A.reshape(problem.m, problem.n),
         problem.equality.b,
         G,
         d,
     )
 
 
-def active_set_oracle(
-    problem: ConvexProblem, *, tol: float = 1e-10, enumeration_limit: int = 20
-) -> KktPoint:
-    """Exhaustive active-set ground truth for quadratic/affine problems.
+def _project(Q, w):
+    """Coordinates of w in the orthonormal columns of Q, and the rest of w.
 
-    Enumerates every subset of the p inequality constraints (empty set first,
-    then by bitmask value), solves the stationarity plus active-constraint
-    linear system for each, and returns the first candidate that is primal
-    feasible with nonnegative multipliers on the active set. Singular
-    candidate systems are skipped. The returned point always satisfies
-    kkt_residual <= tol; if no subset qualifies the problem is infeasible.
+    Gram-Schmidt applied twice, so the remainder is orthogonal to Q to
+    rounding even when w nearly lies in Q's span.
+    """
+    proj = Q.T @ w
+    v = w - Q @ proj
+    again = Q.T @ v
+    return proj + again, v - Q @ again
+
+
+def _append(Q, R, proj, v):
+    """Extend the factor B = Q R by the column Q proj + v (v orthogonal to Q)."""
+    k = R.shape[0]
+    norm = np.sqrt(v @ v)
+    R2 = np.zeros((k + 1, k + 1))
+    R2[:k, :k] = R
+    R2[:k, k] = proj
+    R2[k, k] = norm
+    return np.column_stack([Q, v / norm]), R2
+
+
+def active_set_oracle(problem: ConvexProblem, *, tol: float = 1e-10) -> KktPoint:
+    """Ground-truth KKT point of a quadratic/affine problem (dual active-set method).
+
+    Goldfarb & Idnani (Math. Programming 27, 1983). Starts from the
+    unconstrained minimiser, adds the equalities (free multipliers), then
+    adds the most violated inequality (lowest index on ties) until none is
+    violated; each iterate is the optimum for the constraints added so far.
+    A constraint linearly dependent on the active set takes a dual-only step
+    that drops an active inequality. The method shares no code with the
+    flow and has no limit on p. The returned point satisfies
+    kkt_residual <= tol and its inactive multipliers are exactly 0.0.
+
+    Raises OracleCapabilityError if the problem is not quadratic/affine and
+    InfeasibleProblemError if no step can satisfy a violated constraint.
     """
     H, c, A, b, G, d = quadratic_data(problem)
     n, m, p = problem.n, problem.m, problem.p
-    if p > enumeration_limit:
-        raise OracleCapabilityError(
-            f"p={p} exceeds enumeration limit {enumeration_limit}"
-        )
-    for mask in range(1 << p):
-        active = [i for i in range(p) if mask >> i & 1]
-        k = len(active)
-        Ga = G[active] if k else np.zeros((0, n))
-        da = d[active] if k else np.zeros(0)
-        size = n + m + k
-        kkt = np.zeros((size, size))
-        kkt[:n, :n] = H
-        if m:
-            kkt[n : n + m, :n] = A
-            kkt[:n, n : n + m] = A.T
-        if k:
-            kkt[n + m :, :n] = Ga
-            kkt[:n, n + m :] = Ga.T
-        rhs = np.concatenate([-c, -b, -da])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        x = sol[:n]
-        lam = sol[n : n + m]
-        mu_active = sol[n + m :]
-        if k and mu_active.min(initial=0.0) < -tol:
-            continue
-        g_all = G @ x + d if p else np.zeros(0)
-        inactive = [i for i in range(p) if not (mask >> i & 1)]
-        if inactive and g_all[inactive].max(initial=-np.inf) > tol:
-            continue
-        mu = np.zeros(p)
-        if k:
-            mu[active] = np.maximum(mu_active, 0.0)
-        point = KktPoint(x, lam, mu)
-        if kkt_residual(problem, point).max_defect <= tol:
-            return point
-    raise InfeasibleProblemError("no active set yields a feasible KKT point")
+    Li = np.linalg.inv(np.linalg.cholesky(H))  # H^-1 = Li' Li
+    C = np.vstack([A, G])  # rows 0..m-1 are equalities, then the inequalities
+    e = np.concatenate([b, d])
+    CL = C @ Li.T  # row i is (Li a_i)'
+    absC, abse = np.abs(C), np.abs(e)
+    x = -Li.T @ (Li @ c)
+    # H x + c + C[active]' u = 0 and CL[active].T = Q R throughout
+    active, u = [], np.zeros(0)
+    Q, R = np.zeros((n, 0)), np.zeros((0, 0))
+
+    def rounding(rows):
+        # a constraint value within this of 0 counts as satisfied
+        return 1e3 * np.finfo(float).eps * (absC[rows] @ np.abs(x) + abse[rows])
+
+    def direction(q):
+        # raising row q's multiplier by t moves x by -t z and u by -t r; z is
+        # None when row q depends on the active rows, else a_q' z = v'v > 0
+        w = CL[q]
+        proj, v = _project(Q, w)
+        r = np.linalg.solve(R, proj) if active else proj
+        if v @ v <= 1e-24 * (w @ w):
+            return None, r, proj, v
+        return Li.T @ v, r, proj, v
+
+    for q in range(m):
+        z, r, proj, v = direction(q)
+        s = C[q] @ x + e[q]
+        if z is None:
+            if abs(s) > rounding(q):
+                raise InfeasibleProblemError(f"equality {q} is inconsistent with the others")
+            continue  # rank-deficient but consistent: its multiplier stays 0
+        t = s / (v @ v)
+        x = x - t * z
+        u = np.append(u - t * r, t)
+        active.append(q)
+        Q, R = _append(Q, R, proj, v)
+
+    ineq = np.arange(m, m + p)
+    # each pass adds one inequality; the bound only guards against cycling
+    for _ in range(10 * (n + m + p) + 10):
+        s = G @ x + d
+        viol = np.where(s > rounding(ineq), s, -np.inf)
+        viol[[i - m for i in active if i >= m]] = -np.inf
+        if not p or viol.max() == -np.inf:
+            break
+        q = m + int(np.argmax(viol))
+        t_q = 0.0
+        while True:
+            z, r, proj, v = direction(q)
+            ratios = np.full(len(active), np.inf)
+            block = (np.array(active, dtype=int) >= m) & (r > 1e-12 * np.abs(r).max(initial=0.0))
+            ratios[block] = u[block] / r[block]
+            t_part = ratios.min(initial=np.inf)
+            t_full = np.inf if z is None else (C[q] @ x + e[q]) / (v @ v)
+            if t_full == np.inf and t_part == np.inf:
+                raise InfeasibleProblemError(
+                    f"inequality {q - m} cannot hold together with the active constraints"
+                )
+            t = min(t_full, t_part)
+            u = u - t * r
+            t_q += t
+            if z is not None:
+                x = x - t * z
+            if t_full <= t_part:
+                active.append(q)
+                u = np.append(u, t_q)
+                Q, R = _append(Q, R, proj, v)
+                break
+            drop = int(np.argmin(ratios))
+            del active[drop]
+            u = np.delete(u, drop)
+            Q, R = np.zeros((n, 0)), np.zeros((0, 0))
+            for i in active:
+                Q, R = _append(Q, R, *_project(Q, CL[i]))
+    else:
+        raise InfeasibleProblemError("dual active-set iteration did not terminate")
+
+    lam, mu = np.zeros(m), np.zeros(p)
+    for i, ui in zip(active, u):
+        if i < m:
+            lam[i] = ui
+        else:
+            mu[i - m] = max(ui, 0.0)
+    point = KktPoint(x, lam, mu)
+    defect = kkt_residual(problem, point).max_defect
+    if defect > tol:
+        raise InfeasibleProblemError(f"active-set solution has KKT defect {defect:.2e} > {tol:.2e}")
+    return point

@@ -3,7 +3,16 @@ import pytest
 
 from pathlib import Path
 
-from pdflow import ConvexProblem, compose, full_state, quadratic_problem
+from pdflow import (
+    ConvexProblem,
+    InfeasibleProblemError,
+    KktPoint,
+    compose,
+    full_state,
+    kkt_residual,
+    quadratic_problem,
+)
+from pdflow.problem import quadratic_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -79,3 +88,41 @@ def initial_for(problem, rng, x_anchor):
     x0 = x_anchor + rng.uniform(-1.0, 1.0, problem.n)
     mu0 = rng.uniform(0.0, 1.0, problem.p)
     return sys, full_state(sys, x0, np.zeros(problem.m), mu0)
+
+
+def enumeration_oracle(problem: ConvexProblem, tol: float = 1e-10) -> KktPoint:
+    """Brute-force reference for `active_set_oracle`: try all 2^p active sets.
+
+    Sets are tried empty first, then by bitmask value. Each solves the
+    stationarity plus active-constraint linear system (singular systems are
+    skipped); the first candidate that is primal feasible with nonnegative
+    multipliers and kkt_residual <= tol is returned.
+    """
+    H, c, A, b, G, d = quadratic_data(problem)
+    n, m, p = problem.n, problem.m, problem.p
+    for mask in range(1 << p):
+        active = [i for i in range(p) if mask >> i & 1]
+        k = len(active)
+        size = n + m + k
+        kkt = np.zeros((size, size))
+        kkt[:n, :n] = H
+        J = np.vstack([A, G[active]])
+        kkt[n:, :n] = J
+        kkt[:n, n:] = J.T
+        rhs = np.concatenate([-c, -b, -d[active]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        x, lam, mu_active = sol[:n], sol[n : n + m], sol[n + m :]
+        if mu_active.min(initial=0.0) < -tol:
+            continue
+        inactive = [i for i in range(p) if not mask >> i & 1]
+        if (G[inactive] @ x + d[inactive]).max(initial=-np.inf) > tol:
+            continue
+        mu = np.zeros(p)
+        mu[active] = np.maximum(mu_active, 0.0)
+        point = KktPoint(x, lam, mu)
+        if kkt_residual(problem, point).max_defect <= tol:
+            return point
+    raise InfeasibleProblemError("no active set yields a feasible KKT point")

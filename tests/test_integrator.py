@@ -268,6 +268,21 @@ def test_forced_accepts_at_dt_min_are_counted(compiled):
     assert (stats["cached_steps"] > 0) == compiled
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_steps_stay_at_dt_min_after_forced_accepts(compiled):
+    prob = SCALAR
+    if not compiled:
+        obj = prob.objective
+        prob = ConvexProblem(SmoothScalar(obj.value, obj.grad, obj.hess),
+                             prob.equality, (), prob.n)
+    sys = compose(prob, [1.0], [], [])
+    opts = IntegratorOptions(horizon=1.0, dt_init=0.25, dt_min=0.25, dt_max=0.25,
+                             record_stride=1.0, rtol=1e-15, atol=1e-15)
+    stats = simulate(sys, full_state(sys, [0.0]), opts).stats
+    assert stats["step_attempts"] == 4
+    assert stats["forced_accepts"] == 4
+
+
 def test_stats_count_rejections_and_bisections_and_concat_sums_them():
     sys = compose(CONST_G, [1.0], [], [2.0])
     opts = IntegratorOptions(horizon=3.0, dt_init=0.1, dt_max=0.1, record_stride=0.5,

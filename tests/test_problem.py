@@ -13,7 +13,7 @@ from pdflow import (
     quadratic_problem,
 )
 
-from conftest import central_grad, central_jac, random_qp_instance
+from conftest import central_grad, central_jac, enumeration_oracle, random_qp_instance
 
 # f = (x-2)^2 as 0.5*x'Hx + c'x + const
 SCALAR = dict(H=[[2.0]], c=[-4.0], const=4.0)
@@ -88,11 +88,13 @@ def test_oracle_infeasible():
 
 def test_oracle_capability_bounds():
     n = 2
-    G = np.vstack([np.eye(n)] * 11)  # 22 inequality rows
+    G = np.vstack([np.eye(n)] * 11)  # 22 inequality rows, none active at x = 0
     d = -np.ones(22)
     prob = quadratic_problem(np.eye(n), np.zeros(n), G=G, d=d)
-    with pytest.raises(OracleCapabilityError):
-        active_set_oracle(prob)
+    pt = active_set_oracle(prob)
+    assert np.array_equal(pt.x, np.zeros(n))
+    assert np.array_equal(pt.mu, np.zeros(22))
+    assert kkt_residual(prob, pt).max_defect <= 1e-10
 
     smooth = SmoothScalar(lambda x: float(x[0] ** 4), lambda x: np.array([4 * x[0] ** 3]),
                           lambda x: np.array([[12 * x[0] ** 2]]))
@@ -100,6 +102,79 @@ def test_oracle_capability_bounds():
     nonquad = ConvexProblem(smooth, AffineMap(np.zeros((0, 1)), np.zeros(0)), (), 1)
     with pytest.raises(OracleCapabilityError):
         active_set_oracle(nonquad)
+
+
+# (problem kwargs, expected x, expected mu or None where mu is not unique)
+EDGE_CASES = {
+    # LICQ fails: the same bound twice; only the split of mu is free
+    "duplicate-rows": (dict(**SCALAR, G=[[1.0], [1.0]], d=[-1.0, -1.0]), [1.0], None),
+    # g = 0 at the optimum with mu = 0
+    "weakly-active": (dict(H=2 * np.eye(2), c=[-2.0, -6.0], G=np.eye(2), d=[-1.0, -2.0]),
+                      [1.0, 2.0], [0.0, 2.0]),
+    # the second bound is dependent on the first: a dual-only step drops the first
+    "dependent-drop": (dict(**SCALAR, G=[[10.0], [1.0]], d=[-10.0, -0.75]), [0.75], [0.0, 2.5]),
+    "rank-deficient-equalities": (dict(H=2 * np.eye(2), c=np.zeros(2),
+                                       A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[-2.0, -4.0]),
+                                  [1.0, 1.0], []),
+    "p=0": (dict(H=2 * np.eye(2), c=[-2.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0]),
+            [0.5, 0.5], []),
+    "m=0": (dict(H=2 * np.eye(2), c=[-4.0, -4.0], G=[[1.0, 1.0], [1.0, -1.0]], d=[-2.0, -3.0]),
+            [1.0, 1.0], [2.0, 0.0]),
+    "equality-and-bound": (dict(H=2 * np.eye(2), c=[-6.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[-2.0],
+                                G=[[1.0, 0.0]], d=[-1.5]),
+                           [1.5, 0.5], [4.0]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_oracle_edge_cases(name):
+    kwargs, x_exp, mu_exp = EDGE_CASES[name]
+    prob = quadratic_problem(**kwargs)
+    pt = active_set_oracle(prob)
+    assert pt.x == pytest.approx(x_exp, abs=1e-12)
+    if mu_exp is not None:
+        assert pt.mu == pytest.approx(mu_exp, abs=1e-12)
+    # with dependent equality rows every enumerated KKT system is singular
+    if np.linalg.matrix_rank(prob.equality.A) == prob.m:
+        ref = enumeration_oracle(prob)
+        assert np.allclose(pt.x, ref.x, atol=1e-12)
+        if mu_exp is not None:
+            assert np.allclose(pt.mu, ref.mu, atol=1e-12)
+    assert kkt_residual(prob, pt).max_defect <= 1e-10
+    inactive = prob.ineq_values(pt.x) < -1e-9
+    assert np.all(pt.mu[inactive] == 0.0)
+
+
+def test_oracle_accepts_an_empty_equality_block():
+    from pdflow import AffineMap, AffineScalar, ConvexProblem, Quadratic
+    prob = ConvexProblem(Quadratic([[2.0]], [-4.0], 4.0), AffineMap(np.zeros(0), np.zeros(0)),
+                         (AffineScalar([1.0], -1.0),), 1)
+    pt = active_set_oracle(prob)
+    assert pt.x == pytest.approx([1.0])
+    assert pt.mu == pytest.approx([2.0])
+
+
+def test_oracle_inconsistent_equalities():
+    prob = quadratic_problem(2 * np.eye(2), np.zeros(2),
+                             A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[-2.0, -3.0])
+    with pytest.raises(InfeasibleProblemError):
+        active_set_oracle(prob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_matches_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    problem, _ = random_qp_instance(rng, p_max=12)
+    pt = active_set_oracle(problem)
+    ref = enumeration_oracle(problem)
+    assert np.allclose(pt.x, ref.x, rtol=0.0, atol=1e-10)
+    assert np.allclose(pt.lam, ref.lam, rtol=0.0, atol=1e-10)
+    g = problem.ineq_values(ref.x)
+    strict = np.all((ref.mu > 1e-6) != (g > -1e-6))
+    if strict:
+        assert np.array_equal(pt.mu > 1e-6, ref.mu > 1e-6)
+        assert np.array_equal(pt.mu == 0.0, ref.mu == 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import pdflow.hvac
+from pdflow import OracleCapabilityError
 from pdflow.cli import _reconstruct_trajectory, main
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
 
@@ -206,21 +208,51 @@ def test_hvac_day_flat_price_zero_reduction(tmp_path, scenario_dir, capsys):
     assert qs[0] == pytest.approx(qs[1], abs=1e-6)
 
 
-def test_hvac_day_beyond_oracle_limit_exits_1(tmp_path, scenario_dir, capsys):
-    # 11 zones give p = 22 comfort bounds, above the enumeration oracle's 20
+def n_zone_scenario(scenario_dir, tmp_path, N, **integrator):
+    """The bundled four-zone building widened to N identical zones (p = 2N)."""
     raw = load_raw(scenario_dir, "hvac_four_zone")
-    N = 11
+    raw["name"] = f"hvac_{N}_zone"
     raw["hvac"]["network"].update(C=[9.2] * N, R_amb=[11.5] * N, d=[0.5] * N)
     for key in ("gamma", "T_ref", "b_util", "T_min", "T_max"):
         raw["hvac"]["welfare"][key] = [raw["hvac"]["welfare"][key][0]] * N
     raw["dynamics"]["tau_T"] = [1.0] * N
     init = raw["dynamics"]["initial"]
     init.update(T=[22.0] * N, mu_low=[1.0] * N, mu_high=[1.0] * N)
-    raw["outputs"]["dir"] = str(tmp_path / "day11")
-    path = tmp_path / "eleven.json"
+    raw["dynamics"]["integrator"].update(integrator)
+    raw["outputs"]["dir"] = str(tmp_path / f"zones{N}")
+    path = tmp_path / f"zones{N}.json"
     path.write_text(json.dumps(raw))
-    assert main(["hvac-day", "--scenario", str(path)]) == 1
+    return raw, path
+
+
+def test_hvac_day_eleven_zones_exits_0(tmp_path, scenario_dir):
+    # p = 22 comfort bounds: 2^22 active sets, beyond enumeration
+    raw, path = n_zone_scenario(scenario_dir, tmp_path, 11)
+    assert main(["hvac-day", "--scenario", str(path)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "zones11" / "daily_report.csv")))
+    assert len(rows) == len(raw["hvac"]["tou"]["prices"])  # one per TOU interval
+
+
+def test_hvac_day_oracle_failure_exits_1(tmp_path, scenario_dir, capsys, monkeypatch):
+    def refuse(problem):
+        raise OracleCapabilityError("objective is not quadratic")
+
+    monkeypatch.setattr(pdflow.hvac, "active_set_oracle", refuse)
+    assert main(["hvac-day", "--scenario", str(scenario_dir / "hvac_four_zone.json"),
+                 "--out", str(tmp_path / "day")]) == 1
     assert "oracle failed" in capsys.readouterr().err
+
+
+def test_twenty_zone_building_verifies(tmp_path, scenario_dir):
+    # p = 40: checked against the oracle at a size enumeration cannot reach
+    _, path = n_zone_scenario(scenario_dir, tmp_path, 20, horizon=80.0)
+    out = tmp_path / "zones20"
+    assert main(["simulate", "--scenario", str(path)]) == 0
+    assert main(["oracle", "--scenario", str(path)]) == 0
+    assert main(["verify", "--dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    conv = [r for r in report["reports"] if r["name"] == "convergence"]
+    assert [r["status"] for r in conv] == ["pass"]
 
 
 def test_hvac_day_requires_hvac_scenario(scenario_dir):
