@@ -4,7 +4,7 @@
 The run starts with every comfort-bound multiplier positive; one by one they
 reach zero while their constraints are strictly feasible, each switch dropping
 the mode storage until it reaches exactly zero. Artifacts land in
-out/switching_demo/.
+out/switching_demo/, or in the directory `main` is given.
 """
 
 from pathlib import Path
@@ -15,9 +15,8 @@ from pdflow.cli import format_mode_table
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main():
-    scn = load_scenario(ROOT / "scenarios" / "hvac_four_zone.json",
-                        out_dir=str(ROOT / "out" / "switching_demo"))
+def main(out_dir=ROOT / "out" / "switching_demo"):
+    scn = load_scenario(ROOT / "scenarios" / "hvac_four_zone.json", out_dir=str(out_dir))
     traj = simulate(scn.composed, scn.initial, scn.opts)
     print(f"{len(traj.ledger)} switch events:")
     for ev in traj.ledger:

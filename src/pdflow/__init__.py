@@ -24,7 +24,6 @@ from .problem import (
 )
 from .brayton_moser import (
     BmSystem,
-    bm_output_port,
     bm_vector_field,
     krasovskii_storage,
     mixed_potential,
@@ -36,7 +35,6 @@ from .switching import (
     SwitchEvent,
     classify_switch,
     compute_sigma,
-    multiplier_vector_field,
     output_port,
     output_port_rate,
     positive_projection,
@@ -46,13 +44,11 @@ from .interconnect import (
     AffineField,
     ComposedSystem,
     FullState,
-    PortPower,
+    GenericField,
     affine_field,
     compose,
     composed_vector_field,
-    composite_storage,
     full_state,
-    port_power,
 )
 from .integrator import (
     DivergenceError,
@@ -60,10 +56,8 @@ from .integrator import (
     IntegratorOptions,
     Trajectory,
     concat_trajectories,
-    event_functions,
     simulate,
     simulate_projection,
-    step,
     write_ledger_csv,
     write_trajectory_csv,
 )
@@ -87,7 +81,6 @@ from .hvac import (
     WelfareParams,
     build_hvac_system,
     build_welfare_problem,
-    hvac_vector_field,
     run_tou_scenario,
     steady_state_constraint,
     synth_internal_load,

@@ -28,7 +28,6 @@ __all__ = [
     "BmSystem",
     "as_spd_matrix",
     "bm_vector_field",
-    "bm_output_port",
     "mixed_potential",
     "krasovskii_storage",
     "storage_rate",
@@ -91,11 +90,6 @@ def bm_vector_field(sys: BmSystem, x, lam, u=None):
     x_dot = -(sys._tau_x_inv @ grad)
     lam_dot = sys._tau_lam_inv @ prob.eq_values(x) if prob.m else np.zeros(0)
     return x_dot, lam_dot
-
-
-def bm_output_port(x: np.ndarray) -> np.ndarray:
-    """Output port y = -x paired with the input u."""
-    return -np.asarray(x, dtype=float)
 
 
 def mixed_potential(sys: BmSystem, x, lam) -> float:

@@ -19,13 +19,14 @@ from .integrator import (
     DivergenceError,
     EventIsolationError,
     Trajectory,
+    assemble_trajectory,
     read_ledger_csv,
     read_trajectory_csv,
     simulate,
     write_ledger_csv,
     write_trajectory_csv,
 )
-from .interconnect import FullState, affine_field, composed_vector_field
+from .interconnect import GenericField, affine_field
 from .problem import (
     InfeasibleProblemError,
     KktPoint,
@@ -125,45 +126,26 @@ def cmd_simulate(args) -> int:
 
 
 def _reconstruct_trajectory(scn: Scenario, out: Path) -> Trajectory:
+    """Rebuild a simulated run from its artifacts through the run's own field.
+
+    g and the derivatives are recomputed from the stored states; the stored
+    storages and port powers are kept, so the certificates check what was
+    written.
+    """
     data = read_trajectory_csv(out / "trajectory.csv")
     ledger = read_ledger_csv(out / "ledger.csv")
     sys_ = scn.composed
     n, m, p = sys_.n, sys_.m, sys_.p
     if (data["n"], data["m"], data["p"]) != (n, m, p):
         raise ScenarioError("trajectory.csv dimensions disagree with manifest")
-    T = data["t"].size
-    sigmas = [
-        frozenset(i for i in range(p) if int(mask) >> i & 1)
-        for mask in data["sigma_mask"]
-    ]
-    affine = affine_field(sys_)
-    if affine is not None:
-        Y = np.hstack([data["x"], data["lam"], data["mu"]])
-        D = affine.derivatives(Y, sigmas)
-        g = affine.constraint_values(data["x"])
-        x_dot, lam_dot, mu_dot = D[:, :n], D[:, n : n + m], D[:, n + m :]
-    else:
-        g = np.vstack([sys_.proj.values(x) for x in data["x"]]) if T else np.zeros((0, p))
-        x_dot = np.empty((T, n))
-        lam_dot = np.empty((T, m))
-        mu_dot = np.empty((T, p))
-        for k in range(T):
-            st = FullState(data["x"][k], data["lam"][k], data["mu"][k], sigmas[k])
-            x_dot[k], lam_dot[k], mu_dot[k] = composed_vector_field(sys_, st)
-    event_times = {ev.time for ev in ledger}
-    pre = np.zeros(T, dtype=bool)
-    for k in range(T - 1):
-        if data["t"][k] in event_times and sigmas[k + 1] != sigmas[k] \
-                and data["t"][k + 1] == np.nextafter(data["t"][k], np.inf):
-            pre[k] = True
-    return Trajectory(
-        times=data["t"], x=data["x"], lam=data["lam"], mu=data["mu"], g=g,
-        sigma=sigmas, x_dot=x_dot, lam_dot=lam_dot, mu_dot=mu_dot,
+    sigmas = [frozenset(i for i in range(p) if mask >> i & 1) for mask in data["sigma_mask"]]
+    field = affine_field(sys_) or GenericField(sys_)
+    return assemble_trajectory(
+        field, data["t"], np.hstack([data["x"], data["lam"], data["mu"]]), sigmas,
+        data["event_pre"], ledger=ledger, opts=scn.opts,
         p_tilde=data["P_tilde"], s_sigma=data["S_sigma"], s_tilde=data["S_tilde"],
         power_eq=data["power_eq"], power_ineq=data["power_ineq"],
-        power_ext=data["power_ext"], ledger=ledger, opts=scn.opts,
-        kind="composed", tau_mu=sys_.proj.tau_mu.copy(), event_pre=pre,
-        sys=sys_, constant_input=True,
+        power_ext=data["power_ext"],
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .integrator import IntegratorOptions, Trajectory, concat_trajectories, simulate
-from .interconnect import ComposedSystem, FullState, compose, composed_vector_field, full_state
+from .interconnect import ComposedSystem, FullState, compose, full_state
 from .monitor import CertificateReport, check_convergence
 from .problem import ConvexProblem, KktPoint, active_set_oracle, quadratic_problem
 
@@ -41,7 +41,6 @@ __all__ = [
     "zone_cooling_loads",
     "build_welfare_problem",
     "build_hvac_system",
-    "hvac_vector_field",
     "synth_internal_load",
     "run_tou_scenario",
 ]
@@ -283,23 +282,6 @@ def build_hvac_system(
         tau_mu=tau_mu,
     )
     return HvacSystem(net, params, problem, composed, tau_T, float(tau_q), float(tau_lam), tau_mu)
-
-
-def hvac_vector_field(sys: HvacSystem, T, q, lam, mu_low, mu_high):
-    """(Tdot, qdot, lamdot, mudot_low, mudot_high) of the welfare dynamics.
-
-    Evaluated through the generic composed flow on the built problem; the
-    specialized closed form is asserted against this in the tests.
-    """
-    N = sys.N
-    x = np.concatenate([np.atleast_1d(np.asarray(T, dtype=float)), [float(q)]])
-    mu = np.concatenate(
-        [np.atleast_1d(np.asarray(mu_low, dtype=float)),
-         np.atleast_1d(np.asarray(mu_high, dtype=float))]
-    )
-    state = full_state(sys.composed, x, np.atleast_1d(float(lam)), mu)
-    x_dot, lam_dot, mu_dot = composed_vector_field(sys.composed, state)
-    return x_dot[:N], float(x_dot[N]), lam_dot, mu_dot[:N], mu_dot[N:]
 
 
 def _smooth01(s: float) -> float:

@@ -17,6 +17,8 @@ recorded on a fixed stride, at the horizon, and on both sides of every event;
 the post-switch sample time is nudged by one ulp so recorded times stay
 strictly increasing.
 
+The physics enters through one field object per run (see `interconnect`);
+`assemble_trajectory` turns the recorded samples into the `Trajectory`.
 Runs are deterministic: identical systems, initial states, and options
 produce byte-identical serialized trajectories.
 """
@@ -25,27 +27,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .interconnect import (
-    ComposedSystem,
-    FullState,
-    affine_field,
-    composed_vector_field,
-    port_power,
-)
-from .brayton_moser import krasovskii_storage
-from .switching import (
-    ProjectionSystem,
-    SwitchEvent,
-    classify_switch,
-    compute_sigma,
-    mode_multiplier_rates,
-    output_port_rate,
-    switched_storage,
-)
+from .interconnect import AffineField, ComposedSystem, FullState, GenericField, affine_field
+from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
 __all__ = [
     "IntegratorOptions",
@@ -55,8 +42,8 @@ __all__ = [
     "DivergenceError",
     "simulate",
     "simulate_projection",
-    "step",
-    "event_functions",
+    "assemble_trajectory",
+    "trajectory_columns",
     "concat_trajectories",
     "write_trajectory_csv",
     "write_ledger_csv",
@@ -141,8 +128,9 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def sigma_bitmask(self) -> np.ndarray:
-        return np.array([sum(1 << i for i in s) for s in self.sigma], dtype=np.int64)
+    def sigma_bitmask(self) -> list[int]:
+        """Bit i of sample k's mask is set when i is in sigma; Python ints, any p."""
+        return [sum(1 << i for i in s) for s in self.sigma]
 
     @property
     def final_state(self) -> FullState:
@@ -197,26 +185,24 @@ STAT_KEYS = (
 
 
 class _Engine:
-    """Shared hybrid stepping loop; physics enters through rhs/g_of closures.
+    """Shared hybrid stepping loop; physics enters through one field object.
 
-    With an `affine` field (see `interconnect.AffineField`) every stage
-    evaluates y' = M_sigma y + c_sigma, and a step of length dt_max is one
-    cached pair of affine maps per mode: the DP5(4) tableau applied to the
-    identity gives the 5th-order endpoint map and the embedded error map of
-    the augmented linear system, so such a step costs two matvecs.
+    The field supplies the stage field `rates(t, y, clamped)`, the constraint
+    values `g(t, y)` and the offset `imu` of mu in y. With an `AffineField`
+    every stage evaluates y' = M_sigma y + c_sigma, and a step of length
+    dt_max is one cached pair of affine maps per mode: the DP5(4) tableau
+    applied to the identity gives the 5th-order endpoint map and the embedded
+    error map of the augmented linear system, so such a step costs two matvecs.
     """
 
-    def __init__(self, rhs, g_of, proj: ProjectionSystem, imu: int, y0, sigma0, opts,
-                 affine=None):
-        self.rhs = rhs
-        self.g_of = g_of
+    def __init__(self, field, proj: ProjectionSystem, y0, sigma0, opts):
+        self.field = field
         self.proj = proj
-        self.imu = imu
+        self.imu = field.imu
         self.p = proj.p
         self.y = np.asarray(y0, dtype=float).copy()
         self.sigma = sigma0
         self.opts = opts
-        self.affine = affine
         self.t = 0.0
         self.samples: list[tuple[float, np.ndarray, frozenset, bool]] = []
         self.ledger: list[SwitchEvent] = []
@@ -234,6 +220,14 @@ class _Engine:
                 t = np.nextafter(last_t, np.inf)
         self.samples.append((float(t), y.copy(), sigma, pre))
 
+    def recorded(self):
+        """(times, states, sigmas, event_pre) of the recorded samples, as arrays."""
+        T = len(self.samples)
+        times = np.array([s[0] for s in self.samples])
+        Y = np.array([s[1] for s in self.samples]).reshape(T, self.y.size)
+        pre = np.array([s[3] for s in self.samples], dtype=bool)
+        return times, Y, [s[2] for s in self.samples], pre
+
     # -- mode plumbing ----------------------------------------------------
 
     def _mode(self, sigma):
@@ -241,14 +235,14 @@ class _Engine:
         mode = self._modes.get(sigma)
         if mode is not None:
             return mode
-        if self.affine is None:
+        if not isinstance(self.field, AffineField):
             mask = np.zeros(self.p, dtype=bool)
             if sigma:
                 mask[list(sigma)] = True
-            rhs = self.rhs
+            rhs = self.field.rates
             mode = (lambda t, y: rhs(t, y, mask), None)
         else:
-            Z = self.affine.augmented(sigma)
+            Z = self.field.augmented(sigma)
             N = Z.shape[0] - 1
             M, c = Z[:N, :N].copy(), Z[:N, N].copy()
             S, E = _step_with_error(lambda t, Y: Z @ Y, 0.0, np.eye(N + 1), self.opts.dt_max)
@@ -310,7 +304,7 @@ class _Engine:
             candidates.append(
                 self._bisect(
                     f, t, y, h, k1,
-                    lambda tt, yy, i=i: -self.g_of(tt, yy)[i],
+                    lambda tt, yy, i=i: -self.field.g(tt, yy)[i],
                     -g_end[i],
                 )
             )
@@ -323,7 +317,7 @@ class _Engine:
         t_ev = t + s_apply
         mu = y_ev[self.imu :]
         np.clip(mu, 0.0, None, out=mu)
-        g_ev = self.g_of(t_ev, y_ev)
+        g_ev = self.field.g(t_ev, y_ev)
         new_sigma = compute_sigma(mu, g_ev)
         self._record(t_ev, y_ev, self.sigma, pre=(new_sigma != self.sigma))
         if new_sigma != self.sigma:
@@ -383,7 +377,7 @@ class _Engine:
                 # event detection on the accepted span
                 if self.p:
                     mu_end = y_new[self.imu :]
-                    g_end = self.g_of(self.t + h_try, y_new)
+                    g_end = self.field.g(self.t + h_try, y_new)
                     sigma = self.sigma
                     act = [i for i in range(self.p) if i not in sigma and mu_end[i] < 0.0]
                     deact = [i for i in range(self.p) if i in sigma and g_end[i] > 0.0]
@@ -434,7 +428,9 @@ def simulate(
 
     `v` may be None, a constant vector, or a callable t -> vector; a callable
     must be piecewise-C1 and accompanied by its derivative `v_dot` so the port
-    powers are well defined between breakpoints.
+    powers are well defined between breakpoints. The problem's types choose
+    the field: compiled per mode (`AffineField`) or evaluated per stage
+    through the oracles (`GenericField`).
     """
     n, m, p = sys.n, sys.m, sys.p
     if initial.x.size != n or initial.lam.size != m or initial.mu.size != p:
@@ -444,129 +440,50 @@ def simulate(
         raise ValueError("time-varying v requires v_dot")
     vd_fn, _ = _resolve_input(v_dot, n, "v_dot")
 
-    obj = sys.problem.objective
-    A = sys.problem.equality.A
-    be = sys.problem.equality.b
-    proj = sys.proj
-    tau_x_inv = sys.bm._tau_x_inv
-    tau_lam_inv = sys.bm._tau_lam_inv
-    tau_mu = proj.tau_mu
-    imu = n + m
-
-    def rhs(t, y, mask):
-        x = y[:n]
-        grad = obj.grad(x)
-        if m:
-            grad = grad + A.T @ y[n:imu]
-        mu = y[imu:]
-        if p and mu.any():
-            grad = grad + mu @ proj.grads(x)
-        if v_fn is not None:
-            grad = grad + v_fn(t)
-        out = np.empty(y.size)
-        out[:n] = -(tau_x_inv @ grad)
-        if m:
-            out[n:imu] = tau_lam_inv @ (A @ x + be)
-        if p:
-            g = proj.values(x)
-            md = g / tau_mu
-            md[mask] = 0.0
-            out[imu:] = md
-        return out
-
-    def g_of(t, y):
-        return proj.values(y[:n])
-
-    g0 = proj.values(initial.x)
-    sigma0 = compute_sigma(initial.mu, g0)
+    field = affine_field(sys, v_fn(0.0) if v_fn is not None else None) if v_const else None
+    if field is None:
+        field = GenericField(sys, v_fn)
+    sigma0 = compute_sigma(initial.mu, sys.proj.values(initial.x))
     y0 = np.concatenate([initial.x, initial.lam, initial.mu])
-    # the problem's types choose the path: compiled per mode, or rhs per stage
-    affine = affine_field(sys, v_fn(0.0) if v_fn is not None else None) if v_const else None
-    engine = _Engine(rhs, g_of, proj, imu, y0, sigma0, opts, affine)
+    engine = _Engine(field, sys.proj, y0, sigma0, opts)
     engine.run()
-
-    rows = engine.samples
-    T = len(rows)
-    times = np.array([r[0] for r in rows])
-    Y = np.array([r[1] for r in rows]).reshape(T, imu + p)
-    sigmas = [r[2] for r in rows]
-    pre_flags = np.array([r[3] for r in rows], dtype=bool)
-    X = Y[:, :n]
-    VD = np.array([vd_fn(t) for t in times]).reshape(T, n) if vd_fn is not None else None
-    if affine is not None:
-        D = affine.derivatives(Y, sigmas)
-        cols = _affine_columns(sys, affine, X, D, VD)
-    else:
-        cols = _generic_columns(sys, Y, times, sigmas, v_fn, VD)
-    return Trajectory(
-        times=times,
-        x=X,
-        lam=Y[:, n:imu],
-        mu=Y[:, imu:],
-        sigma=sigmas,
-        ledger=engine.ledger,
-        opts=opts,
-        kind="composed",
-        tau_mu=tau_mu.copy(),
-        event_pre=pre_flags,
-        sys=sys,
-        constant_input=v_const,
-        stats=engine.stats,
-        **cols,
+    times, Y, sigmas, pre = engine.recorded()
+    VD = None if vd_fn is None else np.array([vd_fn(t) for t in times]).reshape(len(times), n)
+    return assemble_trajectory(
+        field, times, Y, sigmas, pre, VD,
+        ledger=engine.ledger, opts=opts, constant_input=v_const, stats=engine.stats,
     )
 
 
-def _affine_columns(sys: ComposedSystem, affine, X, D, VD) -> dict:
-    """Derived columns of an affine run from its field rows D, vectorized over samples."""
-    n, imu = sys.n, sys.n + sys.m
-    x_dot, lam_dot, mu_dot = D[:, :n], D[:, n:imu], D[:, imu:]
-    p_tilde = 0.5 * np.einsum("ki,ij,kj->k", x_dot, sys.bm.tau_x, x_dot)
-    if sys.m:
-        p_tilde += 0.5 * np.einsum("ki,ij,kj->k", lam_dot, sys.bm.tau_lam, lam_dot)
-    # mu_dot rows are already zero on each sample's clamped indices
-    s_sigma = 0.5 * (mu_dot**2) @ sys.proj.tau_mu
-    y_rate = mu_dot @ affine.G
-    power_ineq = np.einsum("ki,ki->k", x_dot, y_rate)
-    if VD is None:
-        power_ext = np.zeros(len(X))
-        power_eq = -power_ineq
-    else:
-        power_ext = -np.einsum("ki,ki->k", VD, x_dot)
-        power_eq = -np.einsum("ki,ki->k", y_rate + VD, x_dot)
-    return {
-        "g": affine.constraint_values(X),
-        "x_dot": x_dot, "lam_dot": lam_dot, "mu_dot": mu_dot,
-        "p_tilde": p_tilde, "s_sigma": s_sigma, "s_tilde": p_tilde + s_sigma,
-        "power_eq": power_eq, "power_ineq": power_ineq, "power_ext": power_ext,
-    }
+class _InputField:
+    """Field of a projection run: the engine state is mu, driven by x = u(t).
 
+    The recorded state is (u, mu), so `derivatives` returns rows (u_dot, mu_dot);
+    u_dot is zero when the input is constant.
+    """
 
-def _generic_columns(sys: ComposedSystem, Y, times, sigmas, v_fn, VD) -> dict:
-    """Derived columns sample by sample through the oracles (any problem type)."""
-    n, m, p = sys.n, sys.m, sys.p
-    imu = n + m
-    T = len(times)
-    cols = {"g": np.empty((T, p)), "x_dot": np.empty((T, n)),
-            "lam_dot": np.empty((T, m)), "mu_dot": np.empty((T, p))}
-    for name in ("p_tilde", "s_sigma", "s_tilde", "power_eq", "power_ineq", "power_ext"):
-        cols[name] = np.empty(T)
-    for k in range(T):
-        y, sigma = Y[k], sigmas[k]
-        st = FullState(y[:n], y[n:imu], y[imu:], sigma)
-        vv = v_fn(times[k]) if v_fn is not None else None
-        derivs = composed_vector_field(sys, st, vv)
-        power = port_power(sys, st, derivs, VD[k] if VD is not None else None)
-        pt = krasovskii_storage(sys.bm, derivs[0], derivs[1])
-        ss = switched_storage(sys.proj, sigma, derivs[2])
-        cols["g"][k] = sys.proj.values(st.x)
-        cols["x_dot"][k], cols["lam_dot"][k], cols["mu_dot"][k] = derivs
-        cols["p_tilde"][k] = pt
-        cols["s_sigma"][k] = ss
-        cols["s_tilde"][k] = pt + ss
-        cols["power_eq"][k] = power.equality
-        cols["power_ineq"][k] = power.inequality
-        cols["power_ext"][k] = power.external
-    return cols
+    imu = 0
+
+    def __init__(self, proj: ProjectionSystem, u, u_dot):
+        self.sys = self.proj = proj
+        self.u, self.u_dot = u, u_dot
+
+    def rates(self, t, y, clamped) -> np.ndarray:
+        md = self.proj.values(self.u(t)) / self.proj.tau_mu
+        md[clamped] = 0.0
+        return md
+
+    def g(self, t, y) -> np.ndarray:
+        return self.proj.values(self.u(t))
+
+    def derivatives(self, Z: np.ndarray, sigmas, times) -> np.ndarray:
+        T, n = len(times), self.proj.n
+        D = np.zeros_like(Z)
+        if self.u_dot is not None:
+            D[:, :n] = np.array([self.u_dot(t) for t in times]).reshape(T, n)
+        for k in range(T):
+            D[k, n:] = self.rates(times[k], Z[k, n:], sorted(sigmas[k]))
+        return D
 
 
 def simulate_projection(
@@ -580,7 +497,8 @@ def simulate_projection(
 
     `u` is a constant vector or a callable t -> vector (with `u_dot` supplied
     in the time-varying case). The trajectory's x columns carry the input
-    samples; the equality-side storages and powers are identically zero.
+    samples and its x_dot columns their rates; the equality-side storages and
+    powers are identically zero.
     """
     u_fn, u_const = _resolve_input(u, proj.n, "u")
     if u_fn is None:
@@ -593,106 +511,92 @@ def simulate_projection(
         raise ValueError(f"mu0 has size {mu0.size}, expected {proj.p}")
     if proj.p and mu0.min() < 0:
         raise ValueError("mu0 must be nonnegative")
-    tau_mu = proj.tau_mu
 
-    def rhs(t, y, mask):
-        g = proj.values(u_fn(t))
-        md = g / tau_mu
-        md[mask] = 0.0
-        return md
-
-    def g_of(t, y):
-        return proj.values(u_fn(t))
-
+    field = _InputField(proj, u_fn, ud_fn)
     sigma0 = compute_sigma(mu0, proj.values(u_fn(0.0)))
-    engine = _Engine(rhs, g_of, proj, 0, mu0, sigma0, opts)
+    engine = _Engine(field, proj, mu0, sigma0, opts)
     engine.run()
-
-    rows = engine.samples
-    T = len(rows)
-    n, p = proj.n, proj.p
-    times = np.empty(T)
-    xs = np.empty((T, n))
-    mus = np.empty((T, p))
-    gs = np.empty((T, p))
-    x_dots = np.empty((T, n))
-    mu_dots = np.empty((T, p))
-    s_sig = np.empty(T)
-    pow_ineq = np.empty(T)
-    sigmas = []
-    pre_flags = np.zeros(T, dtype=bool)
-    for k, (t, y, sigma, pre) in enumerate(rows):
-        uu = u_fn(t)
-        ud = ud_fn(t) if ud_fn is not None else np.zeros(n)
-        g = proj.values(uu)
-        md = mode_multiplier_rates(proj, g, sigma)
-        y_rate = output_port_rate(proj, uu, y, md, ud)
-        times[k] = t
-        xs[k] = uu
-        mus[k] = y
-        gs[k] = g
-        x_dots[k] = ud
-        mu_dots[k] = md
-        s_sig[k] = switched_storage(proj, sigma, md)
-        pow_ineq[k] = float(ud @ y_rate)
-        sigmas.append(sigma)
-        pre_flags[k] = pre
-    zeros = np.zeros(T)
-    return Trajectory(
-        times=times,
-        x=xs,
-        lam=np.zeros((T, 0)),
-        mu=mus,
-        g=gs,
-        sigma=sigmas,
-        x_dot=x_dots,
-        lam_dot=np.zeros((T, 0)),
-        mu_dot=mu_dots,
-        p_tilde=zeros.copy(),
-        s_sigma=s_sig,
-        s_tilde=s_sig.copy(),
-        power_eq=zeros.copy(),
-        power_ineq=pow_ineq,
-        power_ext=zeros.copy(),
-        ledger=engine.ledger,
-        opts=opts,
-        kind="projection",
-        tau_mu=tau_mu.copy(),
-        event_pre=pre_flags,
-        sys=proj,
-        constant_input=u_const,
-        stats=engine.stats,
+    times, MU, sigmas, pre = engine.recorded()
+    U = np.array([u_fn(t) for t in times]).reshape(len(times), proj.n)
+    return assemble_trajectory(
+        field, times, np.hstack([U, MU]), sigmas, pre,
+        ledger=engine.ledger, opts=opts, constant_input=u_const, stats=engine.stats,
     )
 
 
-def step(
-    sys: ComposedSystem,
-    state: FullState,
-    dt: float,
-    v=None,
-    event_tol: float = 1e-10,
-    dt_min: float = 1e-12,
-) -> tuple[FullState, list]:
-    """Advance exactly dt with a fixed-length step per smooth segment.
+def trajectory_columns(sys, X, MU, D, VD=None) -> dict:
+    """Derived columns of a run, vectorized over its samples.
 
-    Any crossing inside the span is isolated, applied (mu clamped to exactly
-    zero on activation, sigma recomputed), and the remainder re-stepped.
-    Returns the end state and the switch events encountered, in time order.
+    `sys` is the run's ComposedSystem, or the ProjectionSystem of a projection
+    run (x is its input; P_tilde and the equality and external powers are
+    zero). Rows of `D` are the field (x_dot, lam_dot, mu_dot) at the rows of
+    (X, MU), with mu_dot already zero on each sample's clamped indices; `VD`
+    holds v_dot at the samples, or None for a constant input. The port powers:
+
+        equality   = udot' ydot with u = y_tilde + v and y = -x
+        inequality = u_s' y_s with u_s = xdot and y_s = d/dt y_tilde
+        external   = -vdot' xdot (zero whenever v is constant)
+
+    where d/dt y_tilde = sum mudot_i grad g_i + sum mu_i hess g_i xdot. For
+    non-affine constraints the gradient and Hessian oracles are stacked
+    sample by sample; everything else is one array operation.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    opts = IntegratorOptions(
-        horizon=dt,
-        dt_init=dt,
-        dt_min=min(dt_min, dt),
-        dt_max=dt,
-        event_tol=event_tol,
-        record_stride=dt,
-        rtol=1.0,
-        atol=1e30,  # single fixed step; no accuracy rejection
+    composed = isinstance(sys, ComposedSystem)
+    proj = sys.proj if composed else sys
+    T, n = X.shape
+    m = D.shape[1] - n - proj.p
+    x_dot, lam_dot, mu_dot = D[:, :n], D[:, n : n + m], D[:, n + m :]
+    if proj.p == 0 or proj._affine is not None:
+        G, d = proj._affine or (np.zeros((0, n)), np.zeros(0))
+        g = X @ G.T + d
+        y_rate = mu_dot @ G
+    else:
+        g = np.array([proj.values(x) for x in X]).reshape(T, proj.p)
+        grads = np.array([proj.grads(x) for x in X]).reshape(T, proj.p, n)
+        hess = np.array([proj.hessians(x) for x in X]).reshape(T, proj.p, n, n)
+        y_rate = np.einsum("ki,kij->kj", mu_dot, grads)
+        y_rate += np.einsum("ki,kijl,kl->kj", MU, hess, x_dot)
+    s_sigma = 0.5 * (mu_dot**2) @ proj.tau_mu
+    power_ineq = np.einsum("ki,ki->k", x_dot, y_rate)
+    if not composed:
+        p_tilde, power_eq, power_ext = np.zeros(T), np.zeros(T), np.zeros(T)
+    else:
+        p_tilde = 0.5 * np.einsum("ki,ij,kj->k", x_dot, sys.bm.tau_x, x_dot)
+        if m:
+            p_tilde += 0.5 * np.einsum("ki,ij,kj->k", lam_dot, sys.bm.tau_lam, lam_dot)
+        if VD is None:
+            power_ext = np.zeros(T)
+            power_eq = -power_ineq
+        else:
+            power_ext = -np.einsum("ki,ki->k", VD, x_dot)
+            power_eq = -np.einsum("ki,ki->k", y_rate + VD, x_dot)
+    return {
+        "g": g, "x_dot": x_dot, "lam_dot": lam_dot, "mu_dot": mu_dot,
+        "p_tilde": p_tilde, "s_sigma": s_sigma, "s_tilde": p_tilde + s_sigma,
+        "power_eq": power_eq, "power_ineq": power_ineq, "power_ext": power_ext,
+    }
+
+
+def assemble_trajectory(field, times, Z, sigmas, event_pre, VD=None, **given) -> Trajectory:
+    """Build a run's Trajectory from its samples; every Trajectory is made here.
+
+    `Z` holds the recorded states (x, lam, mu) row by row (for a projection
+    run, (u, mu)); the field's `derivatives` and `trajectory_columns` derive
+    the other columns. `given` sets the remaining fields (ledger, opts,
+    constant_input, stats) and may replace derived columns with stored ones.
+    """
+    sys = field.sys
+    composed = isinstance(sys, ComposedSystem)
+    proj = sys.proj if composed else sys
+    n, m = proj.n, (sys.m if composed else 0)
+    X, MU = Z[:, :n], Z[:, n + m :]
+    cols = trajectory_columns(sys, X, MU, field.derivatives(Z, sigmas, times), VD)
+    cols.update(given)
+    return Trajectory(
+        times=times, x=X, lam=Z[:, n : n + m], mu=MU, sigma=sigmas, event_pre=event_pre,
+        kind="composed" if composed else "projection", tau_mu=proj.tau_mu.copy(), sys=sys,
+        **cols,
     )
-    traj = simulate(sys, state, opts, v=v)
-    return traj.final_state, list(traj.ledger)
 
 
 def concat_trajectories(a: Trajectory, b: Trajectory) -> Trajectory:
@@ -700,50 +604,22 @@ def concat_trajectories(a: Trajectory, b: Trajectory) -> Trajectory:
 
     b's initial sample duplicates a's terminal one and is dropped.
     """
-    from dataclasses import replace
-
     offset = float(a.times[-1])
-
-    def cat(x, y):
-        return np.concatenate([x, y[1:]], axis=0)
-
-    return Trajectory(
-        times=cat(a.times, b.times + offset),
-        x=cat(a.x, b.x),
-        lam=cat(a.lam, b.lam),
-        mu=cat(a.mu, b.mu),
-        g=cat(a.g, b.g),
+    columns = {
+        f.name: np.concatenate([getattr(a, f.name), getattr(b, f.name)[1:]], axis=0)
+        for f in fields(Trajectory)
+        if isinstance(getattr(a, f.name), np.ndarray) and f.name != "tau_mu"
+    }
+    columns["times"][len(a) :] += offset
+    return replace(
+        a,
+        **columns,
         sigma=a.sigma + b.sigma[1:],
-        x_dot=cat(a.x_dot, b.x_dot),
-        lam_dot=cat(a.lam_dot, b.lam_dot),
-        mu_dot=cat(a.mu_dot, b.mu_dot),
-        p_tilde=cat(a.p_tilde, b.p_tilde),
-        s_sigma=cat(a.s_sigma, b.s_sigma),
-        s_tilde=cat(a.s_tilde, b.s_tilde),
-        power_eq=cat(a.power_eq, b.power_eq),
-        power_ineq=cat(a.power_ineq, b.power_ineq),
-        power_ext=cat(a.power_ext, b.power_ext),
         ledger=list(a.ledger) + [replace(ev, time=ev.time + offset) for ev in b.ledger],
         opts=replace(a.opts, horizon=a.opts.horizon + b.opts.horizon),
-        kind=a.kind,
-        tau_mu=a.tau_mu,
-        event_pre=cat(a.event_pre, b.event_pre),
-        sys=a.sys,
         constant_input=a.constant_input and b.constant_input,
         stats={k: a.stats.get(k, 0) + b.stats.get(k, 0) for k in {**a.stats, **b.stats}},
     )
-
-
-def event_functions(sys: ComposedSystem, state: FullState):
-    """Monitored event functions at a state: mu_i off sigma, g_i(x) on sigma."""
-    g_vals = sys.proj.values(state.x)
-    out = []
-    for i in range(sys.p):
-        if i in state.sigma:
-            out.append(("deactivation", i, float(g_vals[i])))
-        else:
-            out.append(("activation", i, float(state.mu[i])))
-    return out
 
 
 # -- serialization -----------------------------------------------------------
@@ -759,7 +635,7 @@ def trajectory_header(n: int, m: int, p: int) -> list[str]:
     cols += [f"lam{i}" for i in range(m)]
     cols += [f"mu{i}" for i in range(p)]
     cols += ["sigma_mask", "P_tilde", "S_sigma", "S_tilde",
-             "power_eq", "power_ineq", "power_ext"]
+             "power_eq", "power_ineq", "power_ext", "event_pre"]
     return cols
 
 
@@ -774,7 +650,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             row += [_fmt(v) for v in traj.x[k]]
             row += [_fmt(v) for v in traj.lam[k]]
             row += [_fmt(v) for v in traj.mu[k]]
-            row.append(str(int(masks[k])))
+            row.append(str(masks[k]))
             row += [
                 _fmt(traj.p_tilde[k]),
                 _fmt(traj.s_sigma[k]),
@@ -783,6 +659,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 _fmt(traj.power_ineq[k]),
                 _fmt(traj.power_ext[k]),
             ]
+            row.append(str(int(traj.event_pre[k])))
             w.writerow(row)
 
 
@@ -798,7 +675,12 @@ def write_ledger_csv(ledger, path) -> None:
 
 
 def read_trajectory_csv(path) -> dict:
-    """Read back the column blocks; returns arrays keyed like the writer."""
+    """Read back the column blocks; returns arrays keyed like the writer.
+
+    `sigma_mask` comes back as a list of Python ints (exact for any p) and
+    `event_pre` as a bool array; a file without the columns the writer
+    produces raises ValueError.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -806,15 +688,18 @@ def read_trajectory_csv(path) -> dict:
     n = sum(1 for c in header if c.startswith("x"))
     m = sum(1 for c in header if c.startswith("lam"))
     p = sum(1 for c in header if c.startswith("mu"))
-    data = np.array([[float(v) if i != 1 + n + m + p else float(int(v)) for i, v in enumerate(r)]
-                     for r in rows]) if rows else np.zeros((0, len(header)))
-    idx = 0
-    out = {"t": data[:, 0]}
+    if header != trajectory_header(n, m, p):
+        raise ValueError(f"{path}: unexpected trajectory columns")
+    imask = 1 + n + m + p
+    out = {"sigma_mask": [int(r[imask]) for r in rows],
+           "event_pre": np.array([r[-1] == "1" for r in rows], dtype=bool)}
+    data = np.array([[float(v) for v in r[:imask] + r[imask + 1 : -1]] for r in rows])
+    data = data.reshape(len(rows), len(header) - 2)
+    out["t"] = data[:, 0]
     idx = 1
     out["x"] = data[:, idx : idx + n]; idx += n
     out["lam"] = data[:, idx : idx + m]; idx += m
     out["mu"] = data[:, idx : idx + p]; idx += p
-    out["sigma_mask"] = data[:, idx].astype(np.int64); idx += 1
     for name in ("P_tilde", "S_sigma", "S_tilde", "power_eq", "power_ineq", "power_ext"):
         out[name] = data[:, idx]; idx += 1
     out["n"], out["m"], out["p"] = n, m, p

@@ -11,6 +11,10 @@ whose equilibria with v = 0 are exactly the KKT points. The composite storage
 S_tilde = P_tilde + S_sigma then dissipates through the external port alone:
 the equality-port power -(ydot_tilde + vdot)'xdot and the inequality-port
 power xdot'ydot_tilde cancel, leaving -vdot'xdot.
+
+A run evaluates this field through one object: `GenericField` for any
+problem, or its per-mode compilation `AffineField` when the problem's types
+make each mode affine.
 """
 
 from __future__ import annotations
@@ -19,28 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brayton_moser import BmSystem, bm_vector_field, krasovskii_storage
+from .brayton_moser import BmSystem
 from .problem import ConvexProblem, Quadratic
-from .switching import (
-    ProjectionSystem,
-    compute_sigma,
-    mode_multiplier_rates,
-    output_port,
-    output_port_rate,
-    switched_storage,
-)
+from .switching import ProjectionSystem, compute_sigma
 
 __all__ = [
     "AffineField",
+    "GenericField",
     "affine_field",
     "ComposedSystem",
     "FullState",
-    "PortPower",
     "compose",
     "full_state",
     "composed_vector_field",
-    "composite_storage",
-    "port_power",
 ]
 
 
@@ -108,71 +103,91 @@ def full_state(sys: ComposedSystem, x, lam=None, mu=None) -> FullState:
 def composed_vector_field(sys: ComposedSystem, state: FullState, v=None):
     """(xdot, lamdot, mudot) of the interconnected dynamics under state.sigma.
 
-    With all mu at zero and every g strictly negative this reduces exactly to
-    the standalone equality flow with u = 0.
+    One evaluation of `GenericField.rates` under a constant input v, split
+    into its three blocks. With all mu at zero and every g strictly negative
+    this reduces exactly to the standalone equality flow with u = 0.
     """
-    u_eff = None
-    if state.mu.size and state.mu.any():
-        u_eff = output_port(sys.proj, state.x, state.mu)
-    if v is not None:
-        v = np.asarray(v, dtype=float)
-        u_eff = v if u_eff is None else u_eff + v
-    x_dot, lam_dot = bm_vector_field(sys.bm, state.x, state.lam, u_eff)
-    g_vals = sys.proj.values(state.x)
-    mu_dot = mode_multiplier_rates(sys.proj, g_vals, state.sigma)
-    return x_dot, lam_dot, mu_dot
+    y = np.concatenate([state.x, state.lam, state.mu])
+    out = GenericField(sys, _constant(v)).rates(0.0, y, sorted(state.sigma))
+    n, imu = sys.n, sys.n + sys.m
+    return out[:n], out[n:imu], out[imu:]
 
 
-def composite_storage(sys: ComposedSystem, state: FullState, derivatives) -> float:
-    """S_tilde = P_tilde + S_sigma; zero exactly when all derivatives vanish."""
-    x_dot, lam_dot, mu_dot = derivatives
-    return krasovskii_storage(sys.bm, x_dot, lam_dot) + switched_storage(
-        sys.proj, state.sigma, mu_dot
-    )
+def _constant(v):
+    """None, or the callable t -> v of a constant input vector."""
+    if v is None:
+        return None
+    v = np.asarray(v, dtype=float)
+    return lambda t: v
 
 
-@dataclass(frozen=True)
-class PortPower:
-    """Instantaneous powers at the three ports of the interconnection."""
+class GenericField:
+    """The composed field of any problem, evaluated through its oracles.
 
-    equality: float
-    inequality: float
-    external: float
-
-
-def port_power(sys: ComposedSystem, state: FullState, derivatives, v_dot=None) -> PortPower:
-    """Power record used by the certificate monitor.
-
-    equality  = udot' ydot with u = y_tilde + v and y = -x
-    inequality = u_s' y_s  with u_s = xdot and y_s = d/dt y_tilde
-    external  = -vdot' xdot (zero whenever v is constant)
+    The engine state is y = (x, lam, mu) and `v` is None or a callable
+    t -> vector. `rates` is the stage field, `g` the constraint values at one
+    state, and `derivatives` the field at every recorded sample.
     """
-    x_dot, lam_dot, mu_dot = derivatives
-    y_rate = output_port_rate(sys.proj, state.x, state.mu, mu_dot, x_dot)
-    inequality = float(x_dot @ y_rate)
-    if v_dot is None:
-        external = 0.0
-        equality = -inequality
-    else:
-        v_dot = np.asarray(v_dot, dtype=float)
-        external = -float(v_dot @ x_dot)
-        equality = -float((y_rate + v_dot) @ x_dot)
-    return PortPower(equality=equality, inequality=inequality, external=external)
+
+    def __init__(self, sys: ComposedSystem, v=None):
+        self.sys = sys
+        self.n, self.m, self.p = sys.n, sys.m, sys.p
+        self.imu = sys.n + sys.m
+        self.obj = sys.problem.objective
+        self.A, self.b = sys.problem.equality.A, sys.problem.equality.b
+        self.proj = sys.proj
+        self.tau_x_inv, self.tau_lam_inv = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
+        self.tau_mu = sys.proj.tau_mu
+        self.v = v
+
+    def rates(self, t, y, clamped) -> np.ndarray:
+        """y' at one state; `clamped` indexes the mode's clamped multipliers (mask or list)."""
+        n, m, imu, proj = self.n, self.m, self.imu, self.proj
+        x = y[:n]
+        grad = self.obj.grad(x)
+        if m:
+            grad = grad + self.A.T @ y[n:imu]
+        mu = y[imu:]
+        if self.p and mu.any():
+            grad = grad + mu @ proj.grads(x)
+        if self.v is not None:
+            grad = grad + self.v(t)
+        out = np.empty(y.size)
+        out[:n] = -(self.tau_x_inv @ grad)
+        if m:
+            out[n:imu] = self.tau_lam_inv @ (self.A @ x + self.b)
+        if self.p:
+            g = proj.values(x)
+            md = g / self.tau_mu
+            md[clamped] = 0.0
+            out[imu:] = md
+        return out
+
+    def g(self, t, y) -> np.ndarray:
+        """Constraint values at one engine state."""
+        return self.proj.values(y[: self.n])
+
+    def derivatives(self, Y: np.ndarray, sigmas, times) -> np.ndarray:
+        """Field at each row of Y under that row's mode, one stage evaluation per sample."""
+        rows = [self.rates(t, y, sorted(s)) for t, y, s in zip(times, Y, sigmas)]
+        return np.array(rows).reshape(Y.shape)
 
 
-class AffineField:
+class AffineField(GenericField):
     """The composed field of a QP under constant input, compiled per mode.
 
     With a quadratic objective, affine constraints and a constant input v the
     field is linear inside each mode sigma: y' = M_sigma y + c_sigma for
     y = (x, lam, mu). The augmented matrix [[M, c], [0, 0]] of the mode with
     no index clamped is built once; a mode's matrix zeroes the mu rows of its
-    clamped indices and is cached on the mode's first visit.
+    clamped indices and is cached on the mode's first visit. `rates` and `g`
+    are the generic ones; `derivatives` uses the mode matrices.
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
+        super().__init__(sys, _constant(v))
         n, m, p = sys.n, sys.m, sys.p
-        self.imu, self.size = n + m, n + m + p
+        self.size = n + m + p
         obj, eq = sys.problem.objective, sys.problem.equality
         tx, tl = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
         self.G, self.d = sys.proj._affine or (np.zeros((0, n)), np.zeros(0))
@@ -201,7 +216,7 @@ class AffineField:
             self._modes[sigma] = Z
         return Z
 
-    def derivatives(self, Y: np.ndarray, sigmas) -> np.ndarray:
+    def derivatives(self, Y: np.ndarray, sigmas, times=None) -> np.ndarray:
         """Field at each row of Y under that row's mode, one matmul per run of equal modes."""
         D = np.empty_like(Y)
         size = self.size
@@ -222,7 +237,8 @@ def affine_field(sys: ComposedSystem, v=None) -> AffineField | None:
     """Compile the field when the problem's types make it affine per mode.
 
     Needs a Quadratic objective and affine inequalities (equalities are always
-    affine); `v` must be None or a constant vector. Returns None otherwise.
+    affine); `v` must be None or a constant vector. Returns None otherwise, and
+    the run uses a `GenericField`.
     """
     affine_ineq = sys.p == 0 or sys.proj._affine is not None
     if isinstance(sys.problem.objective, Quadratic) and affine_ineq:

@@ -32,7 +32,6 @@ __all__ = [
     "StepTooLargeError",
     "positive_projection",
     "compute_sigma",
-    "multiplier_vector_field",
     "mode_multiplier_rates",
     "switched_storage",
     "output_port",
@@ -119,14 +118,6 @@ def mode_multiplier_rates(sys: ProjectionSystem, g_vals: np.ndarray, sigma) -> n
         rates = rates.copy()
         rates[list(sigma)] = 0.0
     return rates
-
-
-def multiplier_vector_field(sys: ProjectionSystem, u_tilde, mu, sigma=None) -> np.ndarray:
-    """mudot for the current state; equivalent to the projection componentwise."""
-    g_vals = sys.values(np.asarray(u_tilde, dtype=float))
-    if sigma is None:
-        sigma = compute_sigma(mu, g_vals)
-    return mode_multiplier_rates(sys, g_vals, sigma)
 
 
 def switched_storage(sys: ProjectionSystem, sigma, mu_dot) -> float:

@@ -5,7 +5,6 @@ from pdflow import (
     BmSystem,
     IntegratorOptions,
     active_set_oracle,
-    bm_output_port,
     bm_vector_field,
     compose,
     full_state,
@@ -34,7 +33,6 @@ def test_vector_field_examples():
     sys2 = BmSystem(EQ_QP, np.ones(2), np.ones(1))
     xd, ld = bm_vector_field(sys2, np.array([1.0, 1.0]), np.array([-2.0]))
     assert np.allclose(xd, 0.0) and np.allclose(ld, 0.0)
-    assert bm_output_port(np.array([1.0, 1.0])) == pytest.approx([-1.0, -1.0])
 
 
 def test_vector_field_rejects_inequalities():

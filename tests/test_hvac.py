@@ -10,8 +10,8 @@ from pdflow import (
     active_set_oracle,
     build_hvac_system,
     build_welfare_problem,
+    composed_vector_field,
     full_state,
-    hvac_vector_field,
     positive_projection,
     run_tou_scenario,
     simulate,
@@ -126,7 +126,10 @@ def test_vector_field_matches_specialized_form(seed):
     mu_high = rng.uniform(0.0, 2.0, 4)
     mu_low[rng.random(4) < 0.3] = 0.0
     mu_high[rng.random(4) < 0.3] = 0.0
-    got = hvac_vector_field(hs, T, q, lam, mu_low, mu_high)
+    state = full_state(hs.composed, np.concatenate([T, [q]]), [lam],
+                       np.concatenate([mu_low, mu_high]))
+    x_dot, lam_dot, mu_dot = composed_vector_field(hs.composed, state)
+    got = (x_dot[:4], float(x_dot[4]), lam_dot, mu_dot[:4], mu_dot[4:])
     want = reference_welfare_field(net, par, T, q, lam, mu_low, mu_high)
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
     assert got[1] == pytest.approx(want[1], abs=1e-12)

@@ -4,21 +4,31 @@ import numpy as np
 import pytest
 
 from pdflow import (
+    AffineMap,
+    AffineScalar,
     ConvexProblem,
     DivergenceError,
     EventIsolationError,
+    FullState,
     IntegratorOptions,
+    ProjectionSystem,
+    Quadratic,
+    QuadraticScalar,
     SmoothScalar,
     compose,
+    composed_vector_field,
     compute_sigma,
     concat_trajectories,
-    event_functions,
     full_state,
+    krasovskii_storage,
+    output_port_rate,
     quadratic_problem,
     simulate,
-    step,
+    simulate_projection,
+    switched_storage,
     write_trajectory_csv,
 )
+from pdflow.switching import mode_multiplier_rates
 from pdflow.integrator import (
     STAT_KEYS,
     read_ledger_csv,
@@ -99,26 +109,26 @@ def test_order_of_accuracy_on_linear_flow():
 def test_step_advances_exactly_and_reports_events():
     sys = compose(CONST_G, [1.0], [], [1.0])
     state = full_state(sys, [0.0], mu=[0.5])
-    new_state, events = step(sys, state, 1.0)
+
+    def one_step(dt):
+        # one step of length dt per smooth segment: no accuracy rejection
+        opts = IntegratorOptions(horizon=dt, dt_init=dt, dt_max=dt, record_stride=dt,
+                                 rtol=1.0, atol=1e30)
+        traj = simulate(sys, state, opts)
+        return traj.final_state, traj.ledger, traj.times[-1]
+
+    new_state, events, t_end = one_step(1.0)
+    assert t_end == 1.0
     assert len(events) == 1
     assert events[0].time == pytest.approx(0.5, abs=1e-8)
     assert new_state.mu == pytest.approx([0.0])
     assert new_state.sigma == frozenset({0})
 
     # no event when the span ends before the crossing
-    mid_state, events = step(sys, state, 0.25)
+    mid_state, events, t_end = one_step(0.25)
+    assert t_end == 0.25
     assert events == []
     assert mid_state.mu == pytest.approx([0.25])
-
-
-def test_event_functions_listing():
-    prob = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[1.0], [0.0]], d=[-1.0, -1.0])
-    sys = compose(prob, [1.0], [], [1.0, 1.0])
-    state = full_state(sys, [0.0], mu=[0.0, 0.4])
-    fns = event_functions(sys, state)
-    # index 0 clamped (mu = 0, g = -1): watch g; index 1 free: watch mu
-    assert fns[0] == ("deactivation", 0, pytest.approx(-1.0))
-    assert fns[1] == ("activation", 1, pytest.approx(0.4))
 
 
 def test_deterministic_byte_level_serialization(tmp_path):
@@ -296,3 +306,67 @@ def test_stats_count_rejections_and_bisections_and_concat_sums_them():
     b = simulate(sys, full_state(sys, end.x, end.lam, end.mu), opts)
     joined = concat_trajectories(a, b)
     assert joined.stats == {k: a.stats[k] + b.stats[k] for k in STAT_KEYS}
+
+
+def _assert_columns_match(traj, want):
+    """Every column of `want` (sample by sample) equals traj's to 1e-12 of its scale."""
+    for name, ref in want.items():
+        ref = np.asarray(ref, dtype=float).reshape(getattr(traj, name).shape)
+        err = np.max(np.abs(getattr(traj, name) - ref), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(ref), initial=0.0), name
+
+
+def test_columns_match_pointwise_definitions():
+    # a curved inequality that binds while v varies: the Hessian term of the
+    # output-port rate and the external power are both nonzero
+    prob = ConvexProblem(Quadratic(2.0 * np.eye(2), [-4.0, -3.0]),
+                         AffineMap([[1.0, -1.0]], [0.2]),
+                         (QuadraticScalar(2.0 * np.eye(2), [0.0, 0.0], -1.0),), 2)
+    sys = compose(prob, [1.0, 0.5], [1.0], [0.7])
+    v = lambda t: np.array([0.5 * np.sin(t), 0.3 * np.cos(2.0 * t)])
+    v_dot = lambda t: np.array([0.5 * np.cos(t), -0.6 * np.sin(2.0 * t)])
+    opts = IntegratorOptions(horizon=12.0, dt_max=0.05, record_stride=0.1, rtol=1e-9)
+    traj = simulate(sys, full_state(sys, [0.0, 0.0], [0.0], [0.0]), opts, v=v, v_dot=v_dot)
+
+    want = {k: [] for k in ("g", "x_dot", "lam_dot", "mu_dot", "p_tilde", "s_sigma",
+                            "s_tilde", "power_eq", "power_ineq", "power_ext")}
+    curvature = 0.0
+    for k, t in enumerate(traj.times):
+        st = FullState(traj.x[k], traj.lam[k], traj.mu[k], traj.sigma[k])
+        xd, ld, md = composed_vector_field(sys, st, v(t))
+        y_rate = output_port_rate(sys.proj, st.x, st.mu, md, xd)
+        pt = krasovskii_storage(sys.bm, xd, ld)
+        ss = switched_storage(sys.proj, st.sigma, md)
+        for name, val in zip(want, (sys.proj.values(st.x), xd, ld, md, pt, ss, pt + ss,
+                                    -(y_rate + v_dot(t)) @ xd, xd @ y_rate,
+                                    -v_dot(t) @ xd)):
+            want[name].append(val)
+        curvature = max(curvature, abs(xd @ (y_rate - md @ sys.proj.grads(st.x))))
+    assert curvature > 1e-3
+    assert np.max(np.abs(traj.power_ext)) > 1e-3
+    _assert_columns_match(traj, want)
+
+
+def test_projection_columns_match_pointwise_definitions():
+    proj = ProjectionSystem((AffineScalar([1.0, 0.0], -1.0),
+                             QuadraticScalar(np.eye(2), [0.0, 0.0], -0.5)), [1.0, 0.5], 2)
+    u = lambda t: np.array([1.6 * np.sin(0.8 * t), np.cos(0.5 * t)])
+    u_dot = lambda t: np.array([1.28 * np.cos(0.8 * t), -0.5 * np.sin(0.5 * t)])
+    opts = IntegratorOptions(horizon=15.0, dt_max=0.05, record_stride=0.1, rtol=1e-9)
+    traj = simulate_projection(proj, u, [0.0, 0.3], opts, u_dot=u_dot)
+    assert traj.ledger
+
+    want = {k: [] for k in ("x", "g", "x_dot", "mu_dot", "s_sigma", "s_tilde",
+                            "power_ineq")}
+    for k, t in enumerate(traj.times):
+        uu, ud = u(t), u_dot(t)
+        g = proj.values(uu)
+        md = mode_multiplier_rates(proj, g, traj.sigma[k])
+        ss = switched_storage(proj, traj.sigma[k], md)
+        y_rate = output_port_rate(proj, uu, traj.mu[k], md, ud)
+        for name, val in zip(want, (uu, g, ud, md, ss, ss, ud @ y_rate)):
+            want[name].append(val)
+    _assert_columns_match(traj, want)
+    assert traj.lam.shape == traj.lam_dot.shape == (len(traj), 0)
+    for name in ("p_tilde", "power_eq", "power_ext"):
+        assert np.all(getattr(traj, name) == 0.0), name

@@ -9,13 +9,12 @@ from pdflow import (
     bm_vector_field,
     compose,
     composed_vector_field,
-    composite_storage,
     full_state,
     kkt_residual,
-    port_power,
     quadratic_problem,
     simulate,
 )
+from pdflow.integrator import trajectory_columns
 
 from conftest import random_qp_instance
 
@@ -24,6 +23,14 @@ SCALAR_INEQ = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[1.0]], d=[-1.0])
 
 def scalar_sys():
     return compose(SCALAR_INEQ, [1.0], [], [1.0])
+
+
+def state_columns(sys, state, v=None, v_dot=None):
+    """The derived columns of a single state, one sample long."""
+    D = np.concatenate(composed_vector_field(sys, state, v))[None]
+    VD = None if v_dot is None else np.atleast_2d(v_dot)
+    cols = trajectory_columns(sys, state.x[None], state.mu[None], D, VD)
+    return {name: col[0] for name, col in cols.items()}
 
 
 def test_equilibrium_at_oracle_point():
@@ -63,12 +70,10 @@ def test_composite_storage_cases():
     sys = scalar_sys()
     oracle = active_set_oracle(SCALAR_INEQ)
     st_eq = full_state(sys, oracle.x, oracle.lam, oracle.mu)
-    derivs = composed_vector_field(sys, st_eq)
-    assert composite_storage(sys, st_eq, derivs) == pytest.approx(0.0, abs=1e-20)
+    assert state_columns(sys, st_eq)["s_tilde"] == pytest.approx(0.0, abs=1e-20)
 
     st_off = full_state(sys, [0.0], mu=[0.0])
-    derivs = composed_vector_field(sys, st_off)
-    val = composite_storage(sys, st_off, derivs)
+    val = state_columns(sys, st_off)["s_tilde"]
     # mu clamped: only the Krasovskii part contributes, 0.5 * 4^2
     assert val == pytest.approx(8.0)
 
@@ -77,16 +82,14 @@ def test_port_power_zero_at_equilibrium_and_constant_v():
     sys = scalar_sys()
     oracle = active_set_oracle(SCALAR_INEQ)
     st_eq = full_state(sys, oracle.x, oracle.lam, oracle.mu)
-    derivs = composed_vector_field(sys, st_eq)
-    pw = port_power(sys, st_eq, derivs)
-    assert pw.equality == pytest.approx(0.0, abs=1e-15)
-    assert pw.inequality == pytest.approx(0.0, abs=1e-15)
-    assert pw.external == 0.0
+    pw = state_columns(sys, st_eq)
+    assert pw["power_eq"] == pytest.approx(0.0, abs=1e-15)
+    assert pw["power_ineq"] == pytest.approx(0.0, abs=1e-15)
+    assert pw["power_ext"] == 0.0
 
     st_off = full_state(sys, [0.0], mu=[0.5])
-    derivs = composed_vector_field(sys, st_off, v=np.array([0.3]))
-    pw = port_power(sys, st_off, derivs)  # v constant: no external term
-    assert pw.external == 0.0
+    pw = state_columns(sys, st_off, v=np.array([0.3]))  # v constant: no external term
+    assert pw["power_ext"] == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,9 +104,9 @@ def test_port_powers_conserve(seed):
     st_ = full_state(sys, x0 + rng.normal(size=problem.n), np.zeros(problem.m),
                      rng.uniform(0, 1, problem.p))
     v_dot = rng.normal(size=problem.n)
-    derivs = composed_vector_field(sys, st_, v=rng.normal(size=problem.n))
-    pw = port_power(sys, st_, derivs, v_dot=v_dot)
-    assert pw.equality + pw.inequality == pytest.approx(pw.external, rel=1e-12, abs=1e-12)
+    pw = state_columns(sys, st_, v=rng.normal(size=problem.n), v_dot=v_dot)
+    assert pw["power_eq"] + pw["power_ineq"] == pytest.approx(pw["power_ext"], rel=1e-12,
+                                                             abs=1e-12)
 
 
 def test_forced_composite_storage_bounded_by_external_port():

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import pdflow.hvac
-from pdflow import OracleCapabilityError
+from pdflow import OracleCapabilityError, Trajectory, simulate
 from pdflow.cli import _reconstruct_trajectory, main
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
 
@@ -253,6 +255,38 @@ def test_twenty_zone_building_verifies(tmp_path, scenario_dir):
     report = json.loads((out / "report.json").read_text())
     conv = [r for r in report["reports"] if r["name"] == "convergence"]
     assert [r["status"] for r in conv] == ["pass"]
+
+
+def wide_building(scenario_dir, tmp_path, N):
+    """N identical zones with the supply cost scaled by 4/N, so every comfort
+    bound ends clamped: the last sigma mask has all p = 2N bits set."""
+    raw, path = n_zone_scenario(scenario_dir, tmp_path, N)
+    raw["hvac"]["welfare"]["rho"][0] *= 4 / N
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("name", ["scalar_ineq", "eq_qp", "hvac_four_zone", "zones32"])
+def test_verify_rebuilds_the_simulated_run(tmp_path, scenario_dir, name):
+    # zones32 has p = 64: its masks pass both 2^53 (float) and 2^63 (int64)
+    if name == "zones32":
+        path = wide_building(scenario_dir, tmp_path, 32)
+    else:
+        path = scenario_dir / f"{name}.json"
+    out = tmp_path / name
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--dir", str(out)]) == 0
+    scn = load_scenario(out / "manifest.json")
+    ran = simulate(scn.composed, scn.initial, scn.opts)
+    rebuilt = _reconstruct_trajectory(scn, out)
+    if name == "zones32":
+        assert ran.sigma[-1] == frozenset(range(64))
+    assert rebuilt.sigma == ran.sigma
+    assert rebuilt.ledger == ran.ledger
+    for f in fields(Trajectory):
+        a, b = getattr(rebuilt, f.name), getattr(ran, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), f.name
 
 
 def test_hvac_day_requires_hvac_scenario(scenario_dir):

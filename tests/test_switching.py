@@ -9,7 +9,6 @@ from pdflow import (
     StepTooLargeError,
     classify_switch,
     compute_sigma,
-    multiplier_vector_field,
     output_port,
     output_port_rate,
     positive_projection,
@@ -37,11 +36,17 @@ def test_compute_sigma_examples():
     assert compute_sigma([0.2, 0.3], [-1.0, -2.0]) == frozenset()
 
 
+def multiplier_field(sys, u, mu):
+    """mudot at a state: the mode's rates under the sigma that (mu, g(u)) selects."""
+    g = sys.values(np.asarray(u, dtype=float))
+    return mode_multiplier_rates(sys, g, compute_sigma(mu, g))
+
+
 def test_multiplier_vector_field_examples():
     sys = proj_1d(tau=2.0)
-    assert multiplier_vector_field(sys, [3.0], [0.0]) == pytest.approx([1.0])  # 2/tau
-    assert multiplier_vector_field(sys, [0.0], [0.0]) == pytest.approx([0.0])
-    assert multiplier_vector_field(sys, [0.0], [0.5]) == pytest.approx([-0.5])
+    assert multiplier_field(sys, [3.0], [0.0]) == pytest.approx([1.0])  # 2/tau
+    assert multiplier_field(sys, [0.0], [0.0]) == pytest.approx([0.0])
+    assert multiplier_field(sys, [0.0], [0.5]) == pytest.approx([-0.5])
 
 
 @settings(max_examples=30, deadline=None)
@@ -54,7 +59,7 @@ def test_field_equals_componentwise_projection(seed):
     u = rng.normal(size=2)
     mu = rng.uniform(0, 1, p)
     mu[rng.random(p) < 0.5] = 0.0
-    field = multiplier_vector_field(sys, u, mu)
+    field = multiplier_field(sys, u, mu)
     g = sys.values(u)
     expected = [positive_projection(g[i], mu[i]) / sys.tau_mu[i] for i in range(p)]
     assert np.allclose(field, expected)
