@@ -35,7 +35,6 @@ from .switching import (
     SwitchEvent,
     classify_switch,
     compute_sigma,
-    output_port,
     output_port_rate,
     positive_projection,
     switched_storage,

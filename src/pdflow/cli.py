@@ -1,7 +1,8 @@
 """Command-line entry point: simulate, verify, oracle, hvac-day, selftest.
 
 Exit codes: 0 success, 1 scenario/validation error, 2 simulation failure
-(divergence, event isolation, interval convergence), 3 certificate failure.
+(divergence, event isolation, an inconsistent switch, interval convergence),
+3 certificate failure.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .problem import (
     kkt_residual,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_dict
+from .switching import StepTooLargeError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -99,7 +101,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         traj = simulate(scn.composed, scn.initial, scn.opts)
-    except (DivergenceError, EventIsolationError) as exc:
+    except (DivergenceError, EventIsolationError, StepTooLargeError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         if isinstance(exc, DivergenceError):
             print(f"last valid state at t={exc.time!r}: {exc.state.tolist()}",
@@ -250,7 +252,8 @@ def cmd_hvac_day(args) -> int:
     except (InfeasibleProblemError, OracleCapabilityError) as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntervalConvergenceError, DivergenceError, EventIsolationError) as exc:
+    except (IntervalConvergenceError, DivergenceError, EventIsolationError,
+            StepTooLargeError) as exc:
         print(f"hvac day failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     out = Path(scn.out_dir)

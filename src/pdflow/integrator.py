@@ -1,21 +1,32 @@
-"""Adaptive hybrid time-stepping with event-exact projection switching.
+"""Hybrid time-stepping with event-exact projection switching.
 
-Smooth segments are advanced by an explicit Dormand-Prince 5(4) pair over the
-frozen vector field of the current mode. Two event families are monitored:
+Inside one mode sigma the flow is smooth. Two event families end a mode:
 
   activation:   mu_i crossing zero from above while i is outside sigma
                 (only possible with g_i < 0); mu_i is clamped to exactly 0
   deactivation: g_i crossing zero from below while i is inside sigma
 
-When an accepted step bridges a crossing, the crossing is isolated by
-bisection on the step length (each candidate state comes from a single
-exact-length Runge-Kutta step from the segment start, so the located state is
-itself an integrator state, not an interpolant). The step is applied at the
-bracket endpoint just past the crossing, sigma is recomputed from scratch,
-and the events are classified and appended to the ledger. Samples are
-recorded on a fixed stride, at the horizon, and on both sides of every event;
-the post-switch sample time is nudged by one ulp so recorded times stay
-strictly increasing.
+How a mode is advanced depends on the run's field:
+
+- Affine runs (`AffineField`: a QP under constant input) follow the exact
+  flow z(t + h) = exp(h Z_sigma) z(t), z = (y, 1). Each mode caches
+  exp(k dt_max Z_sigma) for k up to _STACK_CAP and exp(r Z_sigma) for each
+  remainder r, so one batched matmul gives the state at every dt_max
+  sub-point of a span and one sign test finds the first sub-step that
+  crosses. The crossing is located by a safeguarded Newton method on the
+  exact event function. The exponentials come from `matrix_exp.expm`.
+- Other runs take adaptive Dormand-Prince 5(4) steps over the frozen field of
+  the current mode. A crossing bridged by an accepted step is isolated by
+  bisection on the step length; each candidate state comes from a single
+  exact-length Runge-Kutta step from the step start, so the located state is
+  an integrator state, not an interpolant.
+
+Either way the event is applied at a point just past the crossing, with the
+event function within event_tol on the post side; sigma is recomputed from
+scratch, and the events are classified and appended to the ledger. Samples
+are recorded on a fixed stride, at the horizon, and on both sides of every
+event; the post-switch sample time is nudged by one ulp so recorded times
+stay strictly increasing.
 
 The physics enters through one field object per run (see `interconnect`);
 `assemble_trajectory` turns the recorded samples into the `Trajectory`.
@@ -32,6 +43,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .interconnect import AffineField, ComposedSystem, FullState, GenericField, affine_field
+from .matrix_exp import expm
 from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
 __all__ = [
@@ -53,7 +65,7 @@ __all__ = [
 
 
 class EventIsolationError(RuntimeError):
-    """Bisection could not isolate a switching time to the event tolerance."""
+    """A switching time could not be isolated to the event tolerance."""
 
 
 class DivergenceError(RuntimeError):
@@ -67,7 +79,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Step-size bounds, tolerances, horizon, and sampling stride (seconds)."""
+    """Step-size bounds, tolerances, horizon, and sampling stride (seconds).
+
+    On the DP5(4) path (generic and projection runs) every field applies:
+    steps start at dt_init, stay in [dt_min, dt_max] and meet rtol/atol.
+    Affine runs follow the exact flow, with no error control: rtol, atol and
+    dt_init are unused there, dt_max is the grid on which event signs are
+    tested, and dt_min only floors the event bracket. On both paths events
+    are located to event_tol on the event function and samples are recorded
+    every record_stride; `monitor` also scales its violation budgets by rtol.
+    """
 
     horizon: float
     dt_init: float = 1e-3
@@ -183,16 +204,60 @@ STAT_KEYS = (
     "bisection_propagations",
 )
 
+# Most exponentials exp(k dt_max Z) one mode caches; longer spans go in chunks.
+_STACK_CAP = 64
+
+
+class _ExactMode:
+    """One mode of an affine run: Z_sigma, its cached exponentials, its event rows.
+
+    Row i of `event_rows` is c_i with c_i . z the event function of index i,
+    nonnegative before its crossing: mu_i off sigma, -g_i on it. Row i of
+    `event_slopes` is c_i Z, so c_i Z z is that function's exact derivative.
+    """
+
+    def __init__(self, field: AffineField, sigma: frozenset, dt: float):
+        self.Z = Z = field.augmented(sigma)
+        N, p = Z.shape[0] - 1, field.p
+        self.clamped = np.zeros(p, dtype=bool)
+        self.clamped[sorted(sigma)] = True
+        off = np.eye(N + 1)[field.imu : N]
+        on = -np.hstack([field.G, np.zeros((p, N - field.n)), field.d[:, None]])
+        self.event_rows = np.where(self.clamped[:, None], on, off)
+        self.event_slopes = self.event_rows @ Z
+        self.dt = dt
+        self.stack = None
+        self.rest: dict = {}
+
+    def powers(self, K: int) -> np.ndarray:
+        """exp(k dt Z) for k = 1..K, K <= _STACK_CAP; the stack grows by doubling."""
+        S = expm(self.dt * self.Z)[None] if self.stack is None else self.stack
+        while len(S) < K:
+            L = len(S)
+            S = np.concatenate([S, S[: min(L, K - L)] @ S[L - 1]])
+        self.stack = S
+        return S[:K]
+
+    def remainder(self, r: float) -> np.ndarray:
+        """exp(r Z) as a stack of one, cached per remainder length."""
+        E = self.rest.get(r)
+        if E is None:
+            E = self.rest[r] = expm(r * self.Z)[None]
+        return E
+
 
 class _Engine:
-    """Shared hybrid stepping loop; physics enters through one field object.
+    """Shared hybrid loop; physics enters through one field object.
 
-    The field supplies the stage field `rates(t, y, clamped)`, the constraint
-    values `g(t, y)` and the offset `imu` of mu in y. With an `AffineField`
-    every stage evaluates y' = M_sigma y + c_sigma, and a step of length
-    dt_max is one cached pair of affine maps per mode: the DP5(4) tableau
-    applied to the identity gives the 5th-order endpoint map and the embedded
-    error map of the augmented linear system, so such a step costs two matvecs.
+    The field supplies the constraint values `g(t, y)` and the offset `imu`
+    of mu in y. The loop advances toward the next record time and records
+    there; how it advances depends on the field:
+
+    - `AffineField`: each chunk is exact (`_exact_chunk`). rtol, atol and
+      dt_init are unused, dt_max is the grid on which event signs are tested,
+      and dt_min only floors the event bracket.
+    - any other field: one adaptive DP5(4) step over the stage field
+      `rates(t, y, clamped)` (`_dp5_step`), with bisection for events.
     """
 
     def __init__(self, field, proj: ProjectionSystem, y0, sigma0, opts):
@@ -204,6 +269,8 @@ class _Engine:
         self.sigma = sigma0
         self.opts = opts
         self.t = 0.0
+        self.h = min(opts.dt_init, opts.dt_max, opts.horizon)
+        self.tiny = 1e-13 * max(1.0, opts.horizon)
         self.samples: list[tuple[float, np.ndarray, frozenset, bool]] = []
         self.ledger: list[SwitchEvent] = []
         self.stats = dict.fromkeys(STAT_KEYS, 0)
@@ -228,30 +295,147 @@ class _Engine:
         pre = np.array([s[3] for s in self.samples], dtype=bool)
         return times, Y, [s[2] for s in self.samples], pre
 
-    # -- mode plumbing ----------------------------------------------------
+    def _apply_events(self, t_ev, y_ev):
+        """Take the application point just past a crossing: clamp, recompute sigma, classify."""
+        mu = y_ev[self.imu :]
+        np.clip(mu, 0.0, None, out=mu)
+        g_ev = self.field.g(t_ev, y_ev)
+        new_sigma = compute_sigma(mu, g_ev)
+        self._record(t_ev, y_ev, self.sigma, pre=(new_sigma != self.sigma))
+        if new_sigma != self.sigma:
+            events = classify_switch(self.proj, self.sigma, new_sigma, mu, g_ev, t_ev)
+            self.ledger.extend(events)
+            self._record(np.nextafter(t_ev, np.inf), y_ev, new_sigma)
+            self.sigma = new_sigma
+        self.t, self.y = t_ev, y_ev
 
-    def _mode(self, sigma):
-        """(stage field, dt_max step maps or None), built on the mode's first visit."""
-        mode = self._modes.get(sigma)
-        if mode is not None:
-            return mode
-        if not isinstance(self.field, AffineField):
+    # -- main loop ----------------------------------------------------------
+
+    def run(self):
+        opts = self.opts
+        horizon, stride, tiny = opts.horizon, opts.record_stride, self.tiny
+        self._record(self.t, self.y, self.sigma)
+        if horizon <= 0:
+            return
+        advance = self._exact_chunk if isinstance(self.field, AffineField) else self._dp5_step
+        next_rec = min(stride, horizon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.t < horizon - tiny:
+                if advance(next_rec) and next_rec <= self.t + tiny:
+                    self._record(self.t, self.y, self.sigma)
+                    while next_rec <= self.t + tiny:
+                        next_rec += stride
+                    next_rec = min(next_rec, horizon)
+        self._record(self.t, self.y, self.sigma)
+
+    # -- affine runs: exact flow per mode ---------------------------------
+
+    def _exact_chunk(self, t_end) -> bool:
+        """Advance exactly toward t_end; False when the chunk ended at an event.
+
+        A chunk is up to _STACK_CAP sub-steps of dt_max, or the remainder
+        r < dt_max before t_end. One batched matmul gives the state at every
+        sub-point, and one sign test finds the first sub-step that crosses:
+        mu_i < 0 off sigma, or g_i > 0 on sigma.
+        """
+        t, dt, tiny, stats = self.t, self.opts.dt_max, self.tiny, self.stats
+        mode = self._modes.get(self.sigma)
+        if mode is None:
+            mode = self._modes[self.sigma] = _ExactMode(self.field, self.sigma, dt)
+        K = min(int((t_end - t + tiny) // dt), _STACK_CAP)
+        if K:
+            E, h = mode.powers(K), dt
+            times = t + dt * np.arange(1, K + 1)
+            if abs(t_end - times[-1]) <= tiny:
+                times[-1] = t_end
+        elif t_end - t <= tiny:
+            return True
+        else:
+            E, h, times = mode.remainder(t_end - t), t_end - t, [t_end]
+        z = np.append(self.y, 1.0)
+        X = E[:, :-1] @ z
+        if not np.isfinite(X).all():
+            raise DivergenceError(f"non-finite state after t={t!r}", t, self.y.copy())
+        k = None
+        if self.p:
+            mu = X[:, self.imu :]
+            g = self.field.constraint_values(X[:, : self.field.n])
+            crossed = np.where(mode.clamped, g > 0.0, mu < 0.0)
+            rows = np.flatnonzero(crossed.any(axis=1))
+            if rows.size:
+                k = int(rows[0])
+        taken = len(X) if k is None else k + 1
+        stats["step_attempts"] += taken
+        stats["cached_steps"] += taken
+        if k is None:
+            self.t, self.y = float(times[-1]), X[-1].copy()
+            return True
+        t_a = t if k == 0 else float(times[k - 1])
+        z_a = z if k == 0 else np.append(X[k - 1], 1.0)
+        s_apply, y_apply = math.inf, None
+        for i in np.flatnonzero(crossed[k]):
+            phi_end = -g[k, i] if mode.clamped[i] else mu[k, i]
+            s, y = self._newton(mode, i, t_a, z_a, h, phi_end, X[k])
+            if s < s_apply:
+                s_apply, y_apply = s, y
+        self._apply_events(t_a + s_apply, y_apply)
+        return False
+
+    def _newton(self, mode, i, t_a, z_a, h, phi_end, y_end):
+        """(s, state) just past event i's crossing in (0, h] along exp(s Z) z_a.
+
+        Safeguarded Newton on phi(s) = c_i . exp(s Z) z_a with the exact
+        derivative c_i Z exp(s Z) z_a, aimed at phi = -event_tol/2 so the
+        point lies strictly on the post side; a step that leaves the bracket
+        or does not halve the last one is replaced by bisection. The point's
+        time t_a + s must also lie past t_a in floating point, so a crossing
+        closer to t_a than its time resolution cannot meet the tolerance.
+        """
+        opts = self.opts
+        tol = opts.event_tol
+        if phi_end >= -tol:
+            return h, y_end.copy()
+        c, dc = mode.event_rows[i], mode.event_slopes[i]
+        target = -0.5 * tol
+        lo, hi = 0.0, h
+        psi_lo, psi_hi = float(c @ z_a) - target, phi_end - target
+        s = min(max(h * psi_lo / (psi_lo - psi_hi), 0.0), h)
+        last_step = h
+        floor = max(opts.dt_min, 4.0 * np.finfo(float).eps * h)
+        for _ in range(200):
+            z = expm(s * mode.Z) @ z_a
+            self.stats["bisection_propagations"] += 1
+            psi = float(c @ z) - target
+            if abs(psi) <= 0.25 * tol and t_a + s > t_a:
+                return s, z[:-1]
+            if psi > 0.0:
+                lo = s
+            else:
+                hi = s
+            if hi - lo <= floor:
+                break
+            slope = float(dc @ z)
+            s_new = s - psi / slope if slope else lo
+            if not lo < s_new < hi or abs(s_new - s) > 0.5 * last_step:
+                s_new = 0.5 * (lo + hi)
+            last_step, s = abs(s_new - s), s_new
+        raise EventIsolationError(
+            f"cannot isolate the event of index {i} in [{t_a!r}, {t_a + h!r}] "
+            f"(residual {psi + target!r})"
+        )
+
+    # -- other runs: adaptive DP5(4) ----------------------------------------
+
+    def _stage_field(self, sigma):
+        """The stage field of a mode, built on the mode's first visit."""
+        f = self._modes.get(sigma)
+        if f is None:
             mask = np.zeros(self.p, dtype=bool)
             if sigma:
                 mask[list(sigma)] = True
             rhs = self.field.rates
-            mode = (lambda t, y: rhs(t, y, mask), None)
-        else:
-            Z = self.field.augmented(sigma)
-            N = Z.shape[0] - 1
-            M, c = Z[:N, :N].copy(), Z[:N, N].copy()
-            S, E = _step_with_error(lambda t, Y: Z @ Y, 0.0, np.eye(N + 1), self.opts.dt_max)
-            maps = (S[:N, :N].copy(), S[:N, N].copy(), E[:N, :N].copy(), E[:N, N].copy())
-            mode = (lambda t, y: M @ y + c, maps)
-        self._modes[sigma] = mode
-        return mode
-
-    # -- error norm -------------------------------------------------------
+            f = self._modes[sigma] = lambda t, y: rhs(t, y, mask)
+        return f
 
     def _error_norm(self, err, y0, y1) -> float:
         if err.size == 0:
@@ -259,8 +443,6 @@ class _Engine:
         r = err / (self.opts.atol + self.opts.rtol * np.maximum(np.abs(y0), np.abs(y1)))
         val = math.sqrt(float(r @ r) / r.size)
         return val if math.isfinite(val) else math.inf
-
-    # -- event isolation ---------------------------------------------------
 
     def _bisect(self, f, t, y, h, k1, extract, phi_end) -> float:
         """Application point just past the earliest sign change of one event.
@@ -310,99 +492,53 @@ class _Engine:
             )
         return min(candidates)
 
-    def _apply_events(self, f, t, y, s_apply, k1):
-        """Advance to the application point, clamp, recompute sigma, classify."""
-        y_ev, _ = _propagate(f, t, y, s_apply, k1)
-        self.stats["rhs_evals"] += 5
-        t_ev = t + s_apply
-        mu = y_ev[self.imu :]
-        np.clip(mu, 0.0, None, out=mu)
-        g_ev = self.field.g(t_ev, y_ev)
-        new_sigma = compute_sigma(mu, g_ev)
-        self._record(t_ev, y_ev, self.sigma, pre=(new_sigma != self.sigma))
-        if new_sigma != self.sigma:
-            events = classify_switch(self.proj, self.sigma, new_sigma, mu, g_ev, t_ev)
-            self.ledger.extend(events)
-            self._record(np.nextafter(t_ev, np.inf), y_ev, new_sigma)
-            self.sigma = new_sigma
-        self.t, self.y = t_ev, y_ev
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self):
-        opts = self.opts
-        stats = self.stats
-        horizon = opts.horizon
-        self._record(self.t, self.y, self.sigma)
-        if horizon <= 0:
-            return
-        stride = opts.record_stride
-        next_rec = min(stride, horizon)
-        tiny = 1e-13 * max(1.0, horizon)
-        h = min(opts.dt_init, opts.dt_max, horizon)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while self.t < horizon - tiny:
-                cap = min(h, opts.dt_max, horizon - self.t)
-                if next_rec > self.t + tiny:
-                    cap = min(cap, next_rec - self.t)
-                h_try = cap
-                f, maps = self._mode(self.sigma)
-                k1 = None
-                while True:
-                    stats["step_attempts"] += 1
-                    if maps is not None and h_try == opts.dt_max:
-                        P, q, E, e = maps
-                        y_new, err = P @ self.y + q, E @ self.y + e
-                        stats["cached_steps"] += 1
-                    else:
-                        if k1 is None:
-                            k1 = f(self.t, self.y)
-                            stats["rhs_evals"] += 1
-                        y_new, err = _step_with_error(f, self.t, self.y, h_try, k1)
-                        stats["rhs_evals"] += 6
-                    err_norm = self._error_norm(err, self.y, y_new)
-                    if err_norm <= 1.0:
-                        break
-                    if h_try <= opts.dt_min * (1 + 1e-12):
-                        stats["forced_accepts"] += 1
-                        break
-                    stats["rejected_steps"] += 1
-                    h_try = max(
-                        opts.dt_min, h_try * max(0.2, 0.9 * err_norm ** -0.2)
-                    )
-                if not np.isfinite(y_new).all():
-                    raise DivergenceError(
-                        f"non-finite state at t={self.t!r}", self.t, self.y.copy()
-                    )
-                # event detection on the accepted span
-                if self.p:
-                    mu_end = y_new[self.imu :]
-                    g_end = self.field.g(self.t + h_try, y_new)
-                    sigma = self.sigma
-                    act = [i for i in range(self.p) if i not in sigma and mu_end[i] < 0.0]
-                    deact = [i for i in range(self.p) if i in sigma and g_end[i] > 0.0]
-                    if act or deact:
-                        if k1 is None:
-                            k1 = f(self.t, self.y)
-                            stats["rhs_evals"] += 1
-                        s_apply = self._locate_earliest(
-                            f, self.t, self.y, h_try, k1, act, deact, mu_end, g_end
-                        )
-                        self._apply_events(f, self.t, self.y, s_apply, k1)
-                        continue
-                self.t = self.t + h_try
-                self.y = y_new
-                if next_rec <= self.t + tiny:
-                    self._record(self.t, self.y, self.sigma)
-                    while next_rec <= self.t + tiny:
-                        next_rec += stride
-                    next_rec = min(next_rec, horizon)
-                if err_norm > 0:
-                    h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                else:
-                    h = h_try * 5.0
-                h = min(max(h, opts.dt_min), opts.dt_max)
-        self._record(self.t, self.y, self.sigma)
+    def _dp5_step(self, next_rec) -> bool:
+        """One accepted DP5(4) step toward next_rec; False when it ended at an event."""
+        opts, stats = self.opts, self.stats
+        cap = min(self.h, opts.dt_max, opts.horizon - self.t)
+        if next_rec > self.t + self.tiny:
+            cap = min(cap, next_rec - self.t)
+        h_try = cap
+        f = self._stage_field(self.sigma)
+        k1 = f(self.t, self.y)
+        stats["rhs_evals"] += 1
+        while True:
+            stats["step_attempts"] += 1
+            y_new, err = _step_with_error(f, self.t, self.y, h_try, k1)
+            stats["rhs_evals"] += 6
+            err_norm = self._error_norm(err, self.y, y_new)
+            if err_norm <= 1.0:
+                break
+            if h_try <= opts.dt_min * (1 + 1e-12):
+                stats["forced_accepts"] += 1
+                break
+            stats["rejected_steps"] += 1
+            h_try = max(opts.dt_min, h_try * max(0.2, 0.9 * err_norm ** -0.2))
+        if not np.isfinite(y_new).all():
+            raise DivergenceError(f"non-finite state at t={self.t!r}", self.t, self.y.copy())
+        # event detection on the accepted span
+        if self.p:
+            mu_end = y_new[self.imu :]
+            g_end = self.field.g(self.t + h_try, y_new)
+            sigma = self.sigma
+            act = [i for i in range(self.p) if i not in sigma and mu_end[i] < 0.0]
+            deact = [i for i in range(self.p) if i in sigma and g_end[i] > 0.0]
+            if act or deact:
+                s_apply = self._locate_earliest(
+                    f, self.t, self.y, h_try, k1, act, deact, mu_end, g_end
+                )
+                y_ev, _ = _propagate(f, self.t, self.y, s_apply, k1)
+                stats["rhs_evals"] += 5
+                self._apply_events(self.t + s_apply, y_ev)
+                return False
+        self.t = self.t + h_try
+        self.y = y_new
+        if err_norm > 0:
+            h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        else:
+            h = h_try * 5.0
+        self.h = min(max(h, opts.dt_min), opts.dt_max)
+        return True
 
 
 def _resolve_input(v, size: int, name: str):

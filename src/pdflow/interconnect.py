@@ -180,8 +180,9 @@ class AffineField(GenericField):
     field is linear inside each mode sigma: y' = M_sigma y + c_sigma for
     y = (x, lam, mu). The augmented matrix [[M, c], [0, 0]] of the mode with
     no index clamped is built once; a mode's matrix zeroes the mu rows of its
-    clamped indices and is cached on the mode's first visit. `rates` and `g`
-    are the generic ones; `derivatives` uses the mode matrices.
+    clamped indices and is cached on the mode's first visit. The engine
+    propagates a mode exactly by exponentials of its matrix and tests event
+    signs with `constraint_values`; `derivatives` uses the mode matrices.
     """
 
     def __init__(self, sys: ComposedSystem, v=None):

@@ -34,7 +34,6 @@ __all__ = [
     "compute_sigma",
     "mode_multiplier_rates",
     "switched_storage",
-    "output_port",
     "output_port_rate",
     "classify_switch",
 ]
@@ -127,14 +126,6 @@ def switched_storage(sys: ProjectionSystem, sigma, mu_dot) -> float:
     if sigma:
         keep[list(sigma)] = False
     return 0.5 * float(np.sum(sys.tau_mu[keep] * mu_dot[keep] ** 2))
-
-
-def output_port(sys: ProjectionSystem, u_tilde, mu) -> np.ndarray:
-    """y_tilde = sum over all i of mu_i grad g_i(u)."""
-    mu = np.asarray(mu, dtype=float)
-    if sys.p == 0 or not mu.any():
-        return np.zeros(sys.n)
-    return mu @ sys.grads(np.asarray(u_tilde, dtype=float))
 
 
 def output_port_rate(sys: ProjectionSystem, u_tilde, mu, mu_dot, u_tilde_dot) -> np.ndarray:

@@ -7,6 +7,7 @@ from pdflow import (
     ConvexProblem,
     InfeasibleProblemError,
     KktPoint,
+    SmoothScalar,
     compose,
     full_state,
     kkt_residual,
@@ -45,6 +46,17 @@ def central_jac(fn, x, h=1e-5):
         fm = np.atleast_1d(np.asarray(fn(x - e), dtype=float))
         J[:, i] = (fp - fm) / (2 * h)
     return J
+
+
+def as_generic(problem: ConvexProblem) -> ConvexProblem:
+    """The same problem with its objective and inequalities behind SmoothScalar.
+
+    Hiding the types sends a run down the generic path (adaptive DP5(4) steps
+    through the oracles) instead of the exact per-mode flow of affine runs.
+    """
+    wrap = lambda fn: SmoothScalar(fn.value, fn.grad, fn.hess)
+    return ConvexProblem(wrap(problem.objective), problem.equality,
+                         tuple(wrap(g) for g in problem.inequalities), problem.n)
 
 
 def random_qp_instance(rng, n_max=5, m_max=2, p_max=4):

@@ -37,7 +37,7 @@ from pdflow import (
     simulate_projection,
     steady_state_constraint,
 )
-from conftest import central_grad, central_jac, random_qp_instance
+from conftest import as_generic, central_grad, central_jac, random_qp_instance
 
 MASTER_SEED = 2026
 BATCH_SIZE = 200
@@ -313,7 +313,8 @@ def test_criterion_08_tou_price_response():
 
 
 def test_criterion_09_integrator_order():
-    prob_sys = compose(quadratic_problem([[2.0]], [-4.0], 4.0), [1.0], [], [])
+    # the DP5(4) path; affine runs are exact (test_affine_flow_is_exact_on_linear_flow)
+    prob_sys = compose(as_generic(quadratic_problem([[2.0]], [-4.0], 4.0)), [1.0], [], [])
     exact = 2.0 - 2.0 * np.exp(-2.0)
 
     def endpoint_error(dt):

@@ -14,7 +14,6 @@ from pdflow import (
     ProjectionSystem,
     Quadratic,
     QuadraticScalar,
-    SmoothScalar,
     compose,
     composed_vector_field,
     compute_sigma,
@@ -35,6 +34,7 @@ from pdflow.integrator import (
     read_trajectory_csv,
     write_ledger_csv,
 )
+from conftest import as_generic
 
 SCALAR = quadratic_problem([[2.0]], [-4.0], 4.0)  # (x-2)^2, flow rate 2
 CONST_G = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[0.0]], d=[-1.0])  # g = -1 always
@@ -93,7 +93,7 @@ def test_mu_nonnegative_and_sigma_consistent_at_samples():
 
 
 def test_order_of_accuracy_on_linear_flow():
-    sys = compose(SCALAR, [1.0], [], [])
+    sys = compose(as_generic(SCALAR), [1.0], [], [])  # the DP5(4) path
     exact = 2.0 - 2.0 * np.exp(-2.0)
 
     def endpoint_error(dt):
@@ -104,6 +104,19 @@ def test_order_of_accuracy_on_linear_flow():
 
     e_coarse, e_fine = endpoint_error(0.1), endpoint_error(0.05)
     assert e_coarse / e_fine >= 8.0
+
+
+def test_affine_flow_is_exact_on_linear_flow():
+    # an affine run propagates exp(h Z): no truncation error at either dt_max
+    sys = compose(SCALAR, [1.0], [], [])
+    exact = 2.0 - 2.0 * np.exp(-2.0)
+    for dt in (0.1, 0.05):
+        opts = IntegratorOptions(horizon=1.0, dt_init=dt, dt_max=dt,
+                                 record_stride=1.0, rtol=1.0, atol=1e30)
+        traj = simulate(sys, full_state(sys, [0.0]), opts)
+        assert abs(traj.final_state.x[0] - exact) <= 1e-13
+        assert traj.stats["rhs_evals"] == 0
+        assert traj.stats["step_attempts"] == traj.stats["cached_steps"] == round(1.0 / dt)
 
 
 def test_step_advances_exactly_and_reports_events():
@@ -232,13 +245,36 @@ def test_forced_run_keeps_invariants_across_many_events():
 
 
 def test_divergence_error_carries_last_state():
-    bad = quadratic_problem([[1e6]], [0.0])
+    # explicit DP5(4) steps of 0.1 on a rate of 1e6 blow up
+    bad = as_generic(quadratic_problem([[1e6]], [0.0]))
     sys = compose(bad, [1.0], [], [])
     opts = IntegratorOptions(horizon=5.0, dt_init=0.1, dt_min=0.1, dt_max=0.1,
                              record_stride=1.0, rtol=1e12, atol=1e30)
     with pytest.raises(DivergenceError) as info:
         simulate(sys, full_state(sys, [1.0]), opts)
     assert np.isfinite(info.value.state).all()
+
+
+def test_stiff_affine_run_settles():
+    # the same run on the exact flow: exp(0.1 * -1e6) is 0, nothing diverges
+    sys = compose(quadratic_problem([[1e6]], [0.0]), [1.0], [], [])
+    opts = IntegratorOptions(horizon=5.0, dt_init=0.1, dt_min=0.1, dt_max=0.1,
+                             record_stride=1.0, rtol=1e12, atol=1e30)
+    traj = simulate(sys, full_state(sys, [1.0]), opts)
+    assert traj.times[-1] == 5.0
+    assert np.all(traj.x[1:] == 0.0)
+    assert traj.stats["rejected_steps"] == traj.stats["forced_accepts"] == 0
+
+
+def test_affine_divergence_error_carries_last_state(monkeypatch):
+    # every batch of exact sub-steps is checked for finite values
+    monkeypatch.setattr("pdflow.integrator.expm", lambda A: np.full_like(A, np.inf))
+    sys = compose(SCALAR, [1.0], [], [])
+    opts = IntegratorOptions(horizon=1.0, dt_max=0.1, record_stride=0.5)
+    with pytest.raises(DivergenceError) as info:
+        simulate(sys, full_state(sys, [0.5]), opts)
+    assert info.value.time == 0.0
+    assert info.value.state.tolist() == [0.5]
 
 
 def test_event_isolation_error_when_tolerance_unreachable():
@@ -263,38 +299,32 @@ def test_options_validation():
 
 @pytest.mark.parametrize("compiled", [True, False])
 def test_forced_accepts_at_dt_min_are_counted(compiled):
-    prob = SCALAR
-    if not compiled:
-        obj = prob.objective
-        prob = ConvexProblem(SmoothScalar(obj.value, obj.grad, obj.hess),
-                             prob.equality, (), prob.n)
-    sys = compose(prob, [1.0], [], [])
-    # dt_min = dt_max and a tolerance the first step cannot meet: it is forced
+    sys = compose(SCALAR if compiled else as_generic(SCALAR), [1.0], [], [])
+    # dt_min = dt_max and a tolerance the first step cannot meet: a DP5(4)
+    # step is forced; the exact flow of an affine run has no error to meet
     opts = IntegratorOptions(horizon=1.0, dt_init=0.25, dt_min=0.25, dt_max=0.25,
                              record_stride=1.0, rtol=1e-15, atol=1e-15)
     stats = simulate(sys, full_state(sys, [0.0]), opts).stats
-    assert stats["forced_accepts"] >= 1
     assert stats["rejected_steps"] == 0  # no attempt is above dt_min, so none is rejected
     assert (stats["cached_steps"] > 0) == compiled
+    if compiled:
+        assert stats["forced_accepts"] == 0
+    else:
+        assert stats["forced_accepts"] >= 1
 
 
 @pytest.mark.parametrize("compiled", [True, False])
 def test_steps_stay_at_dt_min_after_forced_accepts(compiled):
-    prob = SCALAR
-    if not compiled:
-        obj = prob.objective
-        prob = ConvexProblem(SmoothScalar(obj.value, obj.grad, obj.hess),
-                             prob.equality, (), prob.n)
-    sys = compose(prob, [1.0], [], [])
+    sys = compose(SCALAR if compiled else as_generic(SCALAR), [1.0], [], [])
     opts = IntegratorOptions(horizon=1.0, dt_init=0.25, dt_min=0.25, dt_max=0.25,
                              record_stride=1.0, rtol=1e-15, atol=1e-15)
     stats = simulate(sys, full_state(sys, [0.0]), opts).stats
     assert stats["step_attempts"] == 4
-    assert stats["forced_accepts"] == 4
+    assert stats["forced_accepts"] == (0 if compiled else 4)
 
 
 def test_stats_count_rejections_and_bisections_and_concat_sums_them():
-    sys = compose(CONST_G, [1.0], [], [2.0])
+    sys = compose(as_generic(CONST_G), [1.0], [], [2.0])  # the DP5(4) path
     opts = IntegratorOptions(horizon=3.0, dt_init=0.1, dt_max=0.1, record_stride=0.5,
                              rtol=1e-12, atol=1e-14)
     a = simulate(sys, full_state(sys, [0.0], mu=[0.5]), opts)
@@ -302,6 +332,23 @@ def test_stats_count_rejections_and_bisections_and_concat_sums_them():
     assert a.stats["bisection_propagations"] > 0  # one event at t = 1
     assert a.stats["rejected_steps"] > 0
     assert a.stats["forced_accepts"] == 0
+    end = a.final_state
+    b = simulate(sys, full_state(sys, end.x, end.lam, end.mu), opts)
+    joined = concat_trajectories(a, b)
+    assert joined.stats == {k: a.stats[k] + b.stats[k] for k in STAT_KEYS}
+
+
+def test_affine_stats_count_root_finder_iterations_and_no_rejections():
+    sys = compose(CONST_G, [1.0], [], [2.0])
+    opts = IntegratorOptions(horizon=3.0, dt_init=0.1, dt_max=0.1, record_stride=0.5,
+                             rtol=1e-12, atol=1e-14)
+    a = simulate(sys, full_state(sys, [0.0], mu=[0.5]), opts)
+    assert set(a.stats) == set(STAT_KEYS)
+    assert len(a.ledger) == 1
+    # Newton on the exact event function: a few iterations, not a bisection's ~27
+    assert 0 < a.stats["bisection_propagations"] <= 4
+    assert a.stats["rejected_steps"] == a.stats["forced_accepts"] == a.stats["rhs_evals"] == 0
+    assert a.stats["cached_steps"] == a.stats["step_attempts"] > 0
     end = a.final_state
     b = simulate(sys, full_state(sys, end.x, end.lam, end.mu), opts)
     joined = concat_trajectories(a, b)

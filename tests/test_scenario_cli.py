@@ -6,8 +6,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import pdflow.cli
 import pdflow.hvac
-from pdflow import OracleCapabilityError, Trajectory, simulate
+from pdflow import OracleCapabilityError, StepTooLargeError, Trajectory, simulate
 from pdflow.cli import _reconstruct_trajectory, main
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
 
@@ -243,6 +244,21 @@ def test_hvac_day_oracle_failure_exits_1(tmp_path, scenario_dir, capsys, monkeyp
     assert main(["hvac-day", "--scenario", str(scenario_dir / "hvac_four_zone.json"),
                  "--out", str(tmp_path / "day")]) == 1
     assert "oracle failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "hvac-day"])
+def test_inconsistent_switch_exits_2(command, tmp_path, scenario_dir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise StepTooLargeError("index 0 entered sigma with mu=0.5, g=-1.0 at t=0.25")
+
+    # `simulate` runs the engine; `hvac-day` runs it through run_tou_scenario
+    monkeypatch.setattr(pdflow.cli if command == "simulate" else pdflow.hvac,
+                        "simulate", refuse)
+    assert main([command, "--scenario", str(scenario_dir / "hvac_four_zone.json"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "entered sigma" in err
+    assert "Traceback" not in err
 
 
 def test_twenty_zone_building_verifies(tmp_path, scenario_dir):

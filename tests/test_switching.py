@@ -9,11 +9,11 @@ from pdflow import (
     StepTooLargeError,
     classify_switch,
     compute_sigma,
-    output_port,
     output_port_rate,
     positive_projection,
     switched_storage,
 )
+from pdflow.integrator import trajectory_columns
 from pdflow.switching import mode_multiplier_rates
 
 
@@ -78,13 +78,20 @@ def test_switched_storage_examples():
 
 
 def test_output_port_examples():
+    # y_tilde = sum_i mu_i grad g_i(u). For affine g its rate is sum_i mudot_i
+    # grad g_i, so trajectory_columns with mudot := mu and udot := 1 reads
+    # y_tilde off the inequality power udot' d/dt y_tilde.
+    def port(sys, u, mu):
+        D = np.concatenate([[1.0], mu])[None]
+        return trajectory_columns(sys, np.array([u]), np.array([mu]), D)["power_ineq"][0]
+
     sys = proj_1d()
-    assert output_port(sys, [3.0], [0.0]) == pytest.approx([0.0])
-    assert output_port(sys, [3.0], [2.0]) == pytest.approx([2.0])
+    assert port(sys, [3.0], [0.0]) == pytest.approx(0.0)
+    assert port(sys, [3.0], [2.0]) == pytest.approx(2.0)
     sys2 = ProjectionSystem(
         (AffineScalar([1.0], -1.0), AffineScalar([-1.0], 0.0)), [1.0, 1.0], 1
     )
-    assert output_port(sys2, [0.5], [1.0, 3.0]) == pytest.approx([-2.0])
+    assert port(sys2, [0.5], [1.0, 3.0]) == pytest.approx(-2.0)
 
 
 def test_output_port_rate_includes_curvature():
