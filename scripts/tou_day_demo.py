@@ -3,6 +3,7 @@
 
 Equivalent to `pdflow hvac-day --scenario scenarios/hvac_four_zone.json`;
 kept as a script for quick experimentation with the schedule and load peaks.
+Artifacts land in out/tou_day_demo/, or in the directory `main` is given.
 """
 
 import sys
@@ -12,13 +13,11 @@ from pdflow.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def main(out_dir=ROOT / "out" / "tou_day_demo") -> int:
+    scenario = ROOT / "scenarios" / "hvac_four_zone.json"
+    return cli_main(["hvac-day", "--scenario", str(scenario), "--out", str(out_dir)])
+
+
 if __name__ == "__main__":
-    sys.exit(
-        cli_main(
-            [
-                "hvac-day",
-                "--scenario", str(ROOT / "scenarios" / "hvac_four_zone.json"),
-                "--out", str(ROOT / "out" / "tou_day_demo"),
-            ]
-        )
-    )
+    sys.exit(main())

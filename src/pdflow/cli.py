@@ -17,13 +17,16 @@ import numpy as np
 from . import monitor
 from .hvac import IntervalConvergenceError, TouSchedule, run_tou_scenario, synth_internal_load
 from .integrator import (
+    LEDGER_HEADER,
     DivergenceError,
     EventIsolationError,
     Trajectory,
     assemble_trajectory,
+    ledger_columns,
     read_ledger_csv,
     read_trajectory_csv,
     simulate,
+    write_csv,
     write_ledger_csv,
     write_trajectory_csv,
 )
@@ -50,27 +53,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_storage_csv(traj: Trajectory, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,P_tilde,S_sigma,S_tilde\n")
-        for k in range(len(traj)):
-            fh.write(
-                f"{float(traj.times[k])!r},{float(traj.p_tilde[k])!r},"
-                f"{float(traj.s_sigma[k])!r},{float(traj.s_tilde[k])!r}\n"
-            )
-
-
 def _mode_rows(traj: Trajectory):
-    rows = []
-    start = traj.times[0]
-    current = traj.sigma[0]
-    s_start = traj.s_sigma[0]
-    for k in range(1, len(traj)):
-        if traj.sigma[k] != current:
-            rows.append((start, traj.times[k], current, s_start))
-            start, current, s_start = traj.times[k], traj.sigma[k], traj.s_sigma[k]
-    rows.append((start, traj.times[-1], current, s_start))
-    return rows
+    """(t_start, t_end, sigma, S_sigma at entry) of each constant-mode interval."""
+    times, s_sigma, sigma = traj.times.tolist(), traj.s_sigma.tolist(), traj.sigma
+    starts = [0] + [k for k in range(1, len(traj)) if sigma[k] != sigma[k - 1]]
+    ends = starts[1:] + [len(traj) - 1]
+    return [(times[a], times[b], sigma[a], s_sigma[a]) for a, b in zip(starts, ends)]
 
 
 def format_mode_table(traj: Trajectory) -> str:
@@ -83,11 +71,9 @@ def format_mode_table(traj: Trajectory) -> str:
 
 
 def write_mode_table_csv(traj: Trajectory, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_start,t_end,sigma,S_sigma_at_entry\n")
-        for t0, t1, sig, s in _mode_rows(traj):
-            sig_str = " ".join(str(i) for i in sorted(sig))
-            fh.write(f"{float(t0)!r},{float(t1)!r},{sig_str},{float(s)!r}\n")
+    t0, t1, sig, s = zip(*_mode_rows(traj))
+    write_csv(path, ["t_start", "t_end", "sigma", "S_sigma_at_entry"],
+              [t0, t1, [" ".join(map(str, sorted(g))) for g in sig], s])
 
 
 def cmd_simulate(args) -> int:
@@ -109,7 +95,8 @@ def cmd_simulate(args) -> int:
         return EXIT_DIVERGENCE
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_ledger_csv(traj.ledger, out / "ledger.csv")
-    _write_storage_csv(traj, out / "storage.csv")
+    write_csv(out / "storage.csv", ["t", "P_tilde", "S_sigma", "S_tilde"],
+              [traj.times, traj.p_tilde, traj.s_sigma, traj.s_tilde])
     write_mode_table_csv(traj, out / "mode_table.csv")
     _write_json(out / "manifest.json", scenario_to_dict(scn))
     end = traj.final_state
@@ -151,24 +138,32 @@ def _reconstruct_trajectory(scn: Scenario, out: Path) -> Trajectory:
     )
 
 
+def _read_oracle(path: Path, sys_) -> KktPoint:
+    """The point `pdflow oracle` wrote; a malformed file raises ValueError."""
+    try:
+        payload = json.loads(path.read_text())
+        point = KktPoint(*(np.array(payload[k], dtype=float) for k in ("x", "lam", "mu")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not an oracle point ({type(exc).__name__}: {exc})") from None
+    if (point.x.shape, point.lam.shape, point.mu.shape) != ((sys_.n,), (sys_.m,), (sys_.p,)):
+        raise ValueError(f"{path}: oracle dimensions disagree with manifest")
+    return point
+
+
 def cmd_verify(args) -> int:
     out = Path(args.dir)
     manifest = out / "manifest.json"
     if not manifest.exists():
         print(f"missing manifest: {manifest}", file=sys.stderr)
         return EXIT_VALIDATION
+    oracle_path = out / "oracle.json"
     try:
         scn = load_scenario(manifest)
         traj = _reconstruct_trajectory(scn, out)
+        oracle = _read_oracle(oracle_path, scn.composed) if oracle_path.exists() else None
     except (ScenarioError, FileNotFoundError, ValueError) as exc:
         print(f"cannot reconstruct run: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    oracle = None
-    oracle_path = out / "oracle.json"
-    if oracle_path.exists():
-        payload = json.loads(oracle_path.read_text())
-        oracle = KktPoint(np.array(payload["x"]), np.array(payload["lam"]),
-                          np.array(payload["mu"]))
     reports = monitor.run_certificates(traj, oracle=oracle)
     if scn.certificates and "auto" not in scn.certificates:
         reports = [r for r in reports if r.name in scn.certificates]
@@ -258,26 +253,21 @@ def cmd_hvac_day(args) -> int:
         return EXIT_DIVERGENCE
     out = Path(scn.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    N = hb.network.N
-    with open(out / "daily_report.csv", "w", newline="") as fh:
-        head = ["start_hour", "end_hour", "price", "q_star"]
-        head += [f"T{i}_star" for i in range(N)]
-        head += ["cooling_load", "objective", "settling_time"]
-        fh.write(",".join(head) + "\n")
-        for iv in day.intervals:
-            row = [repr(iv.start_hour), repr(iv.end_hour), repr(iv.price),
-                   repr(iv.q_star)]
-            row += [repr(float(v)) for v in iv.T_star]
-            settle = "" if iv.settling_time is None else repr(float(iv.settling_time))
-            row += [repr(iv.cooling_load), repr(iv.objective), settle]
-            fh.write(",".join(row) + "\n")
-    with open(out / "day_ledger.csv", "w", newline="") as fh:
-        fh.write("interval,t,index,kind,S_before,S_after\n")
-        for k, iv in enumerate(day.intervals):
-            for ev in iv.trajectory.ledger:
-                fh.write(f"{k},{ev.time!r},{ev.index},{ev.kind},"
-                         f"{ev.storage_before!r},{ev.storage_after!r}\n")
-    for k, iv in enumerate(day.intervals):
+    ivs = day.intervals
+    head = ["start_hour", "end_hour", "price", "q_star"]
+    head += [f"T{i}_star" for i in range(hb.network.N)]
+    head += ["cooling_load", "objective", "settling_time"]
+    write_csv(out / "daily_report.csv", head, [
+        [iv.start_hour for iv in ivs], [iv.end_hour for iv in ivs],
+        [iv.price for iv in ivs], [iv.q_star for iv in ivs],
+        *np.array([iv.T_star for iv in ivs]).T,
+        [iv.cooling_load for iv in ivs], [iv.objective for iv in ivs],
+        ["" if iv.settling_time is None else float(iv.settling_time) for iv in ivs],
+    ])
+    events = [(k, ev) for k, iv in enumerate(ivs) for ev in iv.trajectory.ledger]
+    write_csv(out / "day_ledger.csv", ["interval", *LEDGER_HEADER],
+              [[k for k, _ in events], *ledger_columns([ev for _, ev in events])])
+    for k, iv in enumerate(ivs):
         sub = out / f"interval_{k:02d}"
         sub.mkdir(exist_ok=True)
         write_trajectory_csv(iv.trajectory, sub / "trajectory.csv")

@@ -36,7 +36,6 @@ produce byte-identical serialized trajectories.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -759,102 +758,98 @@ def concat_trajectories(a: Trajectory, b: Trajectory) -> Trajectory:
 
 
 # -- serialization -----------------------------------------------------------
+# An artifact CSV is a header line, then one line per row, cells joined by ",".
+# A float is written as str(float), the shortest decimal that reads back as the
+# same double, so identical runs give byte-identical files.
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_CSV_BLOCK = 256  # rows converted at a time: a long run never holds all its cells
+
+
+def write_csv(path, header, columns) -> None:
+    """Write `columns` (one sequence per name in `header`) to `path`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[k : k + _CSV_BLOCK] for c in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The rows of `path` as lists of cells; a first line other than `header`, or
+    a row of another width, raises ValueError naming the file and line."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].split(",") != header:
+        raise ValueError(f"{path}:1: expected header {','.join(header)}")
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{k + 2}: expected {len(header)} fields, got {len(row)}")
+    return rows
+
+
+DERIVED_COLUMNS = ["P_tilde", "S_sigma", "S_tilde", "power_eq", "power_ineq", "power_ext"]
+LEDGER_HEADER = ["t", "index", "kind", "S_before", "S_after"]
 
 
 def trajectory_header(n: int, m: int, p: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"x{i}" for i in range(n)]
-    cols += [f"lam{i}" for i in range(m)]
-    cols += [f"mu{i}" for i in range(p)]
-    cols += ["sigma_mask", "P_tilde", "S_sigma", "S_tilde",
-             "power_eq", "power_ineq", "power_ext", "event_pre"]
-    return cols
+    states = [f"{b}{i}" for b, size in (("x", n), ("lam", m), ("mu", p)) for i in range(size)]
+    return ["t", *states, "sigma_mask", *DERIVED_COLUMNS, "event_pre"]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    n, m, p = traj.x.shape[1], traj.lam.shape[1], traj.mu.shape[1]
-    masks = traj.sigma_bitmask()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(trajectory_header(n, m, p))
-        for k in range(len(traj)):
-            row = [_fmt(traj.times[k])]
-            row += [_fmt(v) for v in traj.x[k]]
-            row += [_fmt(v) for v in traj.lam[k]]
-            row += [_fmt(v) for v in traj.mu[k]]
-            row.append(str(masks[k]))
-            row += [
-                _fmt(traj.p_tilde[k]),
-                _fmt(traj.s_sigma[k]),
-                _fmt(traj.s_tilde[k]),
-                _fmt(traj.power_eq[k]),
-                _fmt(traj.power_ineq[k]),
-                _fmt(traj.power_ext[k]),
-            ]
-            row.append(str(int(traj.event_pre[k])))
-            w.writerow(row)
+    write_csv(path, trajectory_header(traj.x.shape[1], traj.lam.shape[1], traj.mu.shape[1]), [
+        traj.times, *traj.x.T, *traj.lam.T, *traj.mu.T, traj.sigma_bitmask(),
+        traj.p_tilde, traj.s_sigma, traj.s_tilde,
+        traj.power_eq, traj.power_ineq, traj.power_ext, traj.event_pre.astype(int),
+    ])
+
+
+def ledger_columns(ledger) -> list[list]:
+    """The `LEDGER_HEADER` columns of a list of switch events."""
+    return [[float(ev.time) for ev in ledger], [ev.index for ev in ledger],
+            [ev.kind for ev in ledger], [float(ev.storage_before) for ev in ledger],
+            [float(ev.storage_after) for ev in ledger]]
 
 
 def write_ledger_csv(ledger, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "index", "kind", "S_before", "S_after"])
-        for ev in ledger:
-            w.writerow(
-                [_fmt(ev.time), str(ev.index), ev.kind,
-                 _fmt(ev.storage_before), _fmt(ev.storage_after)]
-            )
+    write_csv(path, LEDGER_HEADER, ledger_columns(ledger))
 
 
 def read_trajectory_csv(path) -> dict:
     """Read back the column blocks; returns arrays keyed like the writer.
 
     `sigma_mask` comes back as a list of Python ints (exact for any p) and
-    `event_pre` as a bool array; a file without the columns the writer
-    produces raises ValueError.
+    `event_pre` as a bool array. A file without the columns and cells the
+    writer produces (at least one row, finite numbers) raises ValueError.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader]
-    n = sum(1 for c in header if c.startswith("x"))
-    m = sum(1 for c in header if c.startswith("lam"))
-    p = sum(1 for c in header if c.startswith("mu"))
-    if header != trajectory_header(n, m, p):
-        raise ValueError(f"{path}: unexpected trajectory columns")
-    imask = 1 + n + m + p
-    out = {"sigma_mask": [int(r[imask]) for r in rows],
-           "event_pre": np.array([r[-1] == "1" for r in rows], dtype=bool)}
-    data = np.array([[float(v) for v in r[:imask] + r[imask + 1 : -1]] for r in rows])
-    data = data.reshape(len(rows), len(header) - 2)
+        found = fh.readline().rstrip("\n").split(",")
+    n, m, p = (sum(1 for c in found if c.startswith(s)) for s in ("x", "lam", "mu"))
+    rows = read_csv(path, trajectory_header(n, m, p))
+    i = 1 + n + m + p
+    try:
+        out = {"sigma_mask": [int(r[i]) for r in rows]}
+        data = np.array([r[:i] + r[i + 1 : -1] for r in rows], dtype=float).reshape(-1, i + 6)
+        if not rows or not np.isfinite(data).all():
+            raise ValueError("no samples, or a value that is not finite")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    out["event_pre"] = np.array([r[-1] == "1" for r in rows], dtype=bool)
     out["t"] = data[:, 0]
-    idx = 1
-    out["x"] = data[:, idx : idx + n]; idx += n
-    out["lam"] = data[:, idx : idx + m]; idx += m
-    out["mu"] = data[:, idx : idx + p]; idx += p
-    for name in ("P_tilde", "S_sigma", "S_tilde", "power_eq", "power_ineq", "power_ext"):
-        out[name] = data[:, idx]; idx += 1
+    out["x"], out["lam"], out["mu"] = np.split(data[:, 1:i], [n, n + m], axis=1)
+    out.update(zip(DERIVED_COLUMNS, data[:, i:].T))
     out["n"], out["m"], out["p"] = n, m, p
     return out
 
 
 def read_ledger_csv(path) -> list:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            events.append(
-                SwitchEvent(
-                    time=float(row[0]),
-                    index=int(row[1]),
-                    kind=row[2],
-                    storage_before=float(row[3]),
-                    storage_after=float(row[4]),
-                )
-            )
-    return events
+    rows = read_csv(path, LEDGER_HEADER)
+    try:
+        return [SwitchEvent(time=float(t), index=int(i), kind=kind,
+                            storage_before=float(s0), storage_after=float(s1))
+                for t, i, kind, s0, s1 in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

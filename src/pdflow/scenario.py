@@ -12,7 +12,7 @@ configuration. See scenarios/SCHEMA.md for field-by-field units.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -56,21 +56,40 @@ def _get(section: dict, key: str, path: str, default=None, required=False):
     return section[key]
 
 
-def _floats(val, path: str) -> list:
+def _section(parent: dict, key: str, path: str, required=False) -> dict:
+    """The object at parent[key]; {} when it is absent or null."""
+    val = _get(parent, key, path, required=required)
+    if not isinstance(val, dict | None):
+        _fail(f"{path}.{key}", f"expected an object, got {val!r}")
+    return val or {}
+
+
+def _array(val, path: str) -> np.ndarray:
     try:
-        arr = np.atleast_1d(np.asarray(val, dtype=float))
-    except (TypeError, ValueError):
+        arr = np.asarray(val, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         _fail(path, f"expected numbers, got {val!r}")
+    if not np.all(np.isfinite(arr)):
+        _fail(path, f"expected finite numbers, got {val!r}")
+    return arr
+
+
+def _number(val, path: str) -> float:
+    arr = _array(val, path)
+    if arr.ndim:
+        _fail(path, f"expected a number, got {val!r}")
+    return float(arr)
+
+
+def _floats(val, path: str) -> list:
+    arr = np.atleast_1d(_array(val, path))
     if arr.ndim != 1:
         _fail(path, "expected a flat list of numbers")
     return [float(v) for v in arr]
 
 
 def _matrix(val, path: str) -> list:
-    try:
-        arr = np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a matrix, got {val!r}")
+    arr = _array(val, path)
     if arr.size == 0:
         return []
     if arr.ndim != 2:
@@ -78,14 +97,20 @@ def _matrix(val, path: str) -> list:
     return [[float(v) for v in row] for row in arr]
 
 
+def _zone_floats(val, N: int, path: str) -> list:
+    """N numbers; a single number stands for N copies of itself."""
+    arr = _floats(val, path)
+    if len(arr) == 1 and N != 1:
+        arr = arr * N
+    if len(arr) != N:
+        _fail(path, f"expected {N} entries, got {len(arr)}")
+    return arr
+
+
 def _tau_list(val, size: int, path: str) -> list:
     if val is None:
         return [1.0] * size
-    arr = _floats(val, path)
-    if len(arr) == 1 and size != 1:
-        arr = arr * size
-    if len(arr) != size:
-        _fail(path, f"expected {size} entries, got {len(arr)}")
+    arr = _zone_floats(val, size, path)
     if any(v <= 0 for v in arr):
         _fail(path, "time constants must be positive")
     return arr
@@ -120,20 +145,17 @@ class Scenario:
     hvac: HvacBundle | None = None
 
 
+# `dynamics.integrator` defaults: IntegratorOptions' own, plus a horizon
+INTEGRATOR_DEFAULTS = {f.name: 10.0 if f.name == "horizon" else f.default
+                       for f in fields(IntegratorOptions)}
+
+
 def _resolve_integrator(dyn: dict, outputs: dict, path: str) -> IntegratorOptions:
-    integ = _get(dyn, "integrator", path, default={}) or {}
-    kwargs = {
-        "horizon": float(_get(integ, "horizon", f"{path}.integrator", default=10.0)),
-        "dt_init": float(_get(integ, "dt_init", path, default=1e-3)),
-        "dt_min": float(_get(integ, "dt_min", path, default=1e-12)),
-        "dt_max": float(_get(integ, "dt_max", path, default=0.1)),
-        "event_tol": float(_get(integ, "event_tol", path, default=1e-10)),
-        "record_stride": float(_get(integ, "record_stride", path, default=0.1)),
-        "rtol": float(_get(integ, "rtol", path, default=1e-8)),
-        "atol": float(_get(integ, "atol", path, default=1e-10)),
-    }
+    integ = _section(dyn, "integrator", path)
+    kwargs = {key: _number(integ.get(key, default), f"{path}.integrator.{key}")
+              for key, default in INTEGRATOR_DEFAULTS.items()}
     if "stride" in outputs:
-        kwargs["record_stride"] = float(outputs["stride"])
+        kwargs["record_stride"] = _number(outputs["stride"], "outputs.stride")
     try:
         return IntegratorOptions(**kwargs)
     except ValueError as exc:
@@ -142,8 +164,9 @@ def _resolve_integrator(dyn: dict, outputs: dict, path: str) -> IntegratorOption
 
 def _resolve_certs(outputs: dict) -> tuple:
     certs = _get(outputs, "certificates", "outputs", default=["auto"])
-    if isinstance(certs, str):
-        certs = [certs]
+    certs = [certs] if isinstance(certs, str) else certs
+    if not isinstance(certs, list):
+        _fail("outputs.certificates", f"expected a list of names, got {certs!r}")
     for c in certs:
         if c != "auto" and c not in CERTIFICATE_NAMES:
             _fail("outputs.certificates", f"unknown certificate {c!r}")
@@ -153,15 +176,14 @@ def _resolve_certs(outputs: dict) -> tuple:
 def resolve_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object")
-    has_problem = "problem" in raw
-    has_hvac = "hvac" in raw
+    has_problem, has_hvac = "problem" in raw, "hvac" in raw
     if has_problem == has_hvac:
         raise ScenarioError("exactly one of 'problem' or 'hvac' sections is required")
     name = str(_get(raw, "name", "scenario", default="unnamed"))
-    outputs = _get(raw, "outputs", "scenario", default={}) or {}
+    outputs = _section(raw, "outputs", "scenario")
     out_dir = str(_get(outputs, "dir", "outputs", default=f"out/{name}"))
     certificates = _resolve_certs(outputs)
-    dyn = _get(raw, "dynamics", "scenario", default={}) or {}
+    dyn = _section(raw, "dynamics", "scenario")
     opts = _resolve_integrator(dyn, outputs, "dynamics")
 
     if has_problem:
@@ -170,15 +192,15 @@ def resolve_scenario(raw: dict) -> Scenario:
 
 
 def _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scenario:
-    sec = raw["problem"]
-    obj = _get(sec, "objective", "problem", required=True)
+    sec = _section(raw, "problem", "scenario")
+    obj = _section(sec, "objective", "problem", required=True)
     H = _matrix(_get(obj, "H", "problem.objective", required=True), "problem.objective.H")
     c = _floats(_get(obj, "c", "problem.objective", required=True), "problem.objective.c")
-    const = float(_get(obj, "const", "problem.objective", default=0.0))
-    eq = _get(sec, "equality", "problem", default={}) or {}
+    const = _number(obj.get("const", 0.0), "problem.objective.const")
+    eq = _section(sec, "equality", "problem")
     A = _matrix(_get(eq, "A", "problem.equality", default=[]), "problem.equality.A")
     b = _floats(_get(eq, "b", "problem.equality", default=[]), "problem.equality.b") if eq else []
-    iq = _get(sec, "inequality", "problem", default={}) or {}
+    iq = _section(sec, "inequality", "problem")
     G = _matrix(_get(iq, "G", "problem.inequality", default=[]), "problem.inequality.G")
     d = _floats(_get(iq, "d", "problem.inequality", default=[]), "problem.inequality.d") if iq else []
     try:
@@ -194,7 +216,7 @@ def _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates) -> Sc
     tau_lam = _tau_list(_get(dyn, "tau_lambda", "dynamics"), m, "dynamics.tau_lambda")
     tau_mu = _tau_list(_get(dyn, "tau_mu", "dynamics"), p, "dynamics.tau_mu")
     composed = compose(problem, np.array(tau_x), np.array(tau_lam), np.array(tau_mu))
-    init = _get(dyn, "initial", "dynamics", default={}) or {}
+    init = _section(dyn, "initial", "dynamics")
     x0 = _floats(_get(init, "x", "dynamics.initial", default=[0.0] * n), "dynamics.initial.x")
     lam0 = _floats(_get(init, "lambda", "dynamics.initial", default=[0.0] * m),
                    "dynamics.initial.lambda") if m else []
@@ -222,7 +244,7 @@ def _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates) -> Sc
             "tau_lambda": tau_lam,
             "tau_mu": tau_mu,
             "initial": {"x": x0, "lambda": lam0, "mu": mu0},
-            "integrator": _opts_dict(opts),
+            "integrator": asdict(opts),
         },
         "outputs": {"dir": out_dir, "certificates": list(certificates)},
     }
@@ -231,15 +253,16 @@ def _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates) -> Sc
 
 
 def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scenario:
-    sec = raw["hvac"]
-    netsec = _get(sec, "network", "hvac", required=True)
+    sec = _section(raw, "hvac", "scenario")
+    netsec = _section(sec, "network", "hvac", required=True)
     R_amb = _floats(_get(netsec, "R_amb", "hvac.network", required=True), "hvac.network.R_amb")
     N = len(R_amb)
     rz_raw = _get(netsec, "R_zone", "hvac.network", default=0.0)
     if np.isscalar(rz_raw):
+        rz = _number(rz_raw, "hvac.network.R_zone")
         R_zone = np.zeros((N, N))
         for i in range(N - 1):
-            R_zone[i, i + 1] = R_zone[i + 1, i] = float(rz_raw)
+            R_zone[i, i + 1] = R_zone[i + 1, i] = rz
         R_zone = R_zone.tolist()
     else:
         R_zone = _matrix(rz_raw, "hvac.network.R_zone")
@@ -248,13 +271,15 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
             C=np.array(_tau_list(_get(netsec, "C", "hvac.network"), N, "hvac.network.C")),
             R_zone=np.array(R_zone) if R_zone else np.zeros((N, N)),
             R_amb=np.array(R_amb),
-            T_inf=float(_get(netsec, "T_inf", "hvac.network", required=True)),
+            T_inf=_number(_get(netsec, "T_inf", "hvac.network", required=True),
+                          "hvac.network.T_inf"),
             d=np.array(_floats(_get(netsec, "d", "hvac.network", required=True), "hvac.network.d")),
-            theta=float(_get(netsec, "theta", "hvac.network", required=True)),
+            theta=_number(_get(netsec, "theta", "hvac.network", required=True),
+                          "hvac.network.theta"),
         )
     except ValueError as exc:
         _fail("hvac.network", str(exc))
-    wsec = _get(sec, "welfare", "hvac", required=True)
+    wsec = _section(sec, "welfare", "hvac", required=True)
 
     def wvec(key, default=None):
         required = default is None
@@ -273,7 +298,8 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
         )
     except ValueError as exc:
         _fail("hvac.welfare", str(exc))
-    tousec = _get(sec, "tou", "hvac", default={"hours": [0.0, 24.0], "prices": [1.0]})
+    tousec = (_section(sec, "tou", "hvac") if "tou" in sec
+              else {"hours": [0.0, 24.0], "prices": [1.0]})
     try:
         tou = TouSchedule(
             hours=np.array(_floats(_get(tousec, "hours", "hvac.tou", required=True),
@@ -283,26 +309,30 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
         )
     except ValueError as exc:
         _fail("hvac.tou", str(exc))
-    loadsec = _get(sec, "loads", "hvac", default={}) or {}
-    occupancy_peak = float(_get(loadsec, "occupancy_peak", "hvac.loads", default=0.0))
-    solar_peak = float(_get(loadsec, "solar_peak", "hvac.loads", default=0.0))
+    loadsec = _section(sec, "loads", "hvac")
+    occupancy_peak = _number(loadsec.get("occupancy_peak", 0.0), "hvac.loads.occupancy_peak")
+    solar_peak = _number(loadsec.get("solar_peak", 0.0), "hvac.loads.solar_peak")
 
     tau_T = _tau_list(_get(dyn, "tau_T", "dynamics"), N, "dynamics.tau_T")
-    tau_q = float(_get(dyn, "tau_q", "dynamics", default=1.0))
-    tau_lam = float(_get(dyn, "tau_lambda", "dynamics", default=1.0))
+    tau_q = _number(dyn.get("tau_q", 1.0), "dynamics.tau_q")
+    tau_lam = _number(dyn.get("tau_lambda", 1.0), "dynamics.tau_lambda")
     tau_mu = _tau_list(_get(dyn, "tau_mu", "dynamics"), 2 * N, "dynamics.tau_mu")
     if tau_q <= 0 or tau_lam <= 0:
         _fail("dynamics", "time constants must be positive")
-    hsys = build_hvac_system(network, params, np.array(tau_T), tau_q, tau_lam,
-                             np.array(tau_mu))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hsys = build_hvac_system(network, params, np.array(tau_T), tau_q, tau_lam,
+                                     np.array(tau_mu))
+    except FloatingPointError as exc:
+        _fail("hvac.welfare", f"problem data overflow ({exc})")
 
-    init = _get(dyn, "initial", "dynamics", default={}) or {}
+    init = _section(dyn, "initial", "dynamics")
     T0 = _zone_floats(_get(init, "T", "dynamics.initial", default=params.T_ref.tolist()),
                       N, "dynamics.initial.T")
     A_row, b_val = steady_state_constraint(network)
     q_default = float(A_row[0] @ np.array(T0) + b_val)
-    q0 = float(_get(init, "q", "dynamics.initial", default=q_default))
-    lam0 = float(_get(init, "lambda", "dynamics.initial", default=0.0))
+    q0 = _number(init.get("q", q_default), "dynamics.initial.q")
+    lam0 = _number(init.get("lambda", 0.0), "dynamics.initial.lambda")
     mu_low = _zone_floats(_get(init, "mu_low", "dynamics.initial", default=[0.0] * N),
                           N, "dynamics.initial.mu_low")
     mu_high = _zone_floats(_get(init, "mu_high", "dynamics.initial", default=[0.0] * N),
@@ -344,7 +374,7 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
             "tau_mu": tau_mu,
             "initial": {"T": T0, "q": q0, "lambda": lam0,
                         "mu_low": mu_low, "mu_high": mu_high},
-            "integrator": _opts_dict(opts),
+            "integrator": asdict(opts),
         },
         "outputs": {"dir": out_dir, "certificates": list(certificates)},
     }
@@ -352,28 +382,6 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
                         tau_T, tau_q, tau_lam, tau_mu)
     return Scenario(name, "hvac", resolved, hsys.problem, hsys.composed, initial,
                     opts, out_dir, certificates, hvac=bundle)
-
-
-def _zone_floats(val, N: int, path: str) -> list:
-    arr = _floats(val, path)
-    if len(arr) == 1 and N != 1:
-        arr = arr * N
-    if len(arr) != N:
-        _fail(path, f"expected {N} entries, got {len(arr)}")
-    return arr
-
-
-def _opts_dict(opts: IntegratorOptions) -> dict:
-    return {
-        "horizon": opts.horizon,
-        "dt_init": opts.dt_init,
-        "dt_min": opts.dt_min,
-        "dt_max": opts.dt_max,
-        "event_tol": opts.event_tol,
-        "record_stride": opts.record_stride,
-        "rtol": opts.rtol,
-        "atol": opts.atol,
-    }
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -384,15 +392,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def apply_overrides(raw: dict, horizon=None, dt_max=None, out_dir=None) -> dict:
     """Fold command-line overrides into a raw scenario dict (returns a copy)."""
     out = json.loads(json.dumps(raw))
-    dyn = out.setdefault("dynamics", {})
-    integ = dyn.setdefault("integrator", {})
+    if not isinstance(out, dict):
+        return out  # resolve_scenario reports it
+    dyn = out["dynamics"] = _section(out, "dynamics", "scenario")
+    integ = dyn["integrator"] = _section(dyn, "integrator", "dynamics")
     if horizon is not None:
         integ["horizon"] = float(horizon)
     if dt_max is not None:
+        dt_init = integ.get("dt_init", INTEGRATOR_DEFAULTS["dt_init"])
         integ["dt_max"] = float(dt_max)
-        integ["dt_init"] = min(float(dt_max), float(integ.get("dt_init", 1e-3)))
+        integ["dt_init"] = min(float(dt_max), _number(dt_init, "dynamics.integrator.dt_init"))
     if out_dir is not None:
-        out.setdefault("outputs", {})["dir"] = str(out_dir)
+        out["outputs"] = _section(out, "outputs", "scenario")
+        out["outputs"]["dir"] = str(out_dir)
     return out
 
 
@@ -400,9 +412,9 @@ def load_scenario(path, horizon=None, dt_max=None, out_dir=None) -> Scenario:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     raw = apply_overrides(raw, horizon=horizon, dt_max=dt_max, out_dir=out_dir)
     return resolve_scenario(raw)

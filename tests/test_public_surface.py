@@ -5,6 +5,7 @@ Every name a module lists in `__all__` must exist, and the demos in
 """
 
 import importlib
+import json
 import pkgutil
 import runpy
 
@@ -39,3 +40,12 @@ def test_switching_storage_demo_writes_its_artifacts(tmp_path, capsys):
     assert "8 switch events:" in out
     assert (tmp_path / "demo" / "trajectory.csv").exists()
     assert (tmp_path / "demo" / "ledger.csv").exists()
+
+
+def test_tou_day_demo_writes_one_report_row_per_interval(tmp_path, capsys):
+    demo = runpy.run_path(str(SCRIPTS / "tou_day_demo.py"))
+    assert demo["main"](tmp_path / "day") == 0
+    assert "peak load reduction" in capsys.readouterr().out
+    scenario = json.loads((REPO_ROOT / "scenarios" / "hvac_four_zone.json").read_text())
+    rows = (tmp_path / "day" / "daily_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(scenario["hvac"]["tou"]["prices"])

@@ -5,12 +5,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdflow.cli
 import pdflow.hvac
 from pdflow import OracleCapabilityError, StepTooLargeError, Trajectory, simulate
 from pdflow.cli import _reconstruct_trajectory, main
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
+
+from conftest import SCENARIO_DIR
 
 
 def load_raw(scenario_dir, name):
@@ -311,3 +314,109 @@ def test_hvac_day_requires_hvac_scenario(scenario_dir):
 
 def test_selftest_passes():
     assert main(["selftest", "--seed", "3"]) == 0
+
+
+# -- malformed scenarios ---------------------------------------------------------
+
+BUNDLED = ("scalar_ineq", "eq_qp", "hvac_four_zone")
+# optional fields the bundled files leave out
+OPTIONAL_FIELDS = (("outputs", "stride"), ("dynamics", "integrator", "dt_min"),
+                   ("dynamics", "integrator", "event_tol"))
+
+
+def _field_paths(node, prefix=()):
+    for key, val in node.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _field_paths(val, prefix + (key,))
+
+
+def _with_value(raw, path, value):
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def _all_fields():
+    for name in BUNDLED:
+        raw = load_raw(SCENARIO_DIR, name)
+        yield from ((name, path) for path in _field_paths(raw))
+        yield from ((name, path) for path in OPTIONAL_FIELDS)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize(
+    ("name", "path"), list(_all_fields()),
+    ids=[f"{name}:{'.'.join(path)}" for name, path in _all_fields()],
+)
+@settings(max_examples=15, deadline=None)
+@given(value=JSON_VALUES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow is a silent bad result
+def test_any_json_value_resolves_or_raises_scenario_error(name, path, value):
+    raw = _with_value(load_raw(SCENARIO_DIR, name), path, value)
+    try:
+        resolve_scenario(raw)
+    except ScenarioError:
+        pass
+
+
+MALFORMED = [
+    ("scalar_ineq", ("dynamics", "integrator", "horizon"), "abc"),
+    ("scalar_ineq", ("problem", "objective", "const"), "x"),
+    ("scalar_ineq", ("outputs", "stride"), "x"),
+    ("scalar_ineq", ("dynamics", "integrator", "horizon"), None),
+    ("hvac_four_zone", ("dynamics", "tau_q"), None),
+    ("hvac_four_zone", ("hvac", "network", "T_inf"), None),
+    ("scalar_ineq", ("problem",), 3),
+    ("scalar_ineq", ("outputs", "certificates"), 3),
+    ("scalar_ineq", ("dynamics", "integrator"), [1]),
+    ("scalar_ineq", ("dynamics",), "x"),
+    ("scalar_ineq", ("dynamics", "integrator", "horizon"), 10**400),
+    ("scalar_ineq", ("problem", "objective", "c"), None),
+]
+
+
+@pytest.mark.parametrize(("name", "path", "value"), MALFORMED,
+                         ids=[f"{'.'.join(p)}={v!r:.8}" for _, p, v in MALFORMED])
+def test_malformed_field_is_a_scenario_error(name, path, value):
+    raw = _with_value(load_raw(SCENARIO_DIR, name), path, value)
+    with pytest.raises(ScenarioError, match=path[-1]):
+        resolve_scenario(raw)
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"[1]"])
+def test_unreadable_scenario_file_exits_1(tmp_path, content, capsys):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()  # a directory, not a file
+    else:
+        path.write_bytes(content)
+    assert main(["simulate", "--scenario", str(path), "--horizon", "1"]) == 1
+    assert "scenario" in capsys.readouterr().err
+
+
+def test_overflowing_welfare_data_is_a_scenario_error():
+    raw = load_raw(SCENARIO_DIR, "hvac_four_zone")
+    with pytest.raises(ScenarioError, match="hvac.welfare: problem data overflow"):
+        resolve_scenario(_with_value(raw, ("hvac", "welfare", "T_ref"), 1e200))
+
+
+def test_overrides_into_a_malformed_section_are_a_scenario_error(tmp_path):
+    path = tmp_path / "bad.json"
+    raw = load_raw(SCENARIO_DIR, "scalar_ineq")
+    path.write_text(json.dumps(_with_value(raw, ("dynamics", "integrator"), [1])))
+    with pytest.raises(ScenarioError, match="integrator"):
+        load_scenario(path, dt_max=0.1)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                 "--dt-max", "0.1"]) == 1
