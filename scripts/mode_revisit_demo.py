@@ -18,14 +18,19 @@ from pdflow import (
 )
 
 
-def main():
+def run():
+    """The demo's projection run under the oscillating input."""
     proj = ProjectionSystem(
         (AffineScalar([1.0], -1.0), AffineScalar([-1.0], -1.0)), [1.0, 1.0], 1
     )
     u = lambda t: np.array([1.6 * np.sin(0.8 * t)])
     u_dot = lambda t: np.array([1.28 * np.cos(0.8 * t)])
     opts = IntegratorOptions(horizon=20.0, dt_max=0.05, record_stride=0.05, rtol=1e-9)
-    traj = simulate_projection(proj, u, [0.0, 0.0], opts, u_dot=u_dot)
+    return simulate_projection(proj, u, [0.0, 0.0], opts, u_dot=u_dot)
+
+
+def main():
+    traj = run()
 
     print("switch sequence:")
     for ev in traj.ledger:

@@ -150,6 +150,13 @@ def _read_oracle(path: Path, sys_) -> KktPoint:
     return point
 
 
+_INEQ = "needs a run with inequalities"
+_WHY_NO_REPORT = {"unforced-decrease": "needs a run without inequalities",
+                  "composite-decrease": _INEQ, "switch-ledger": _INEQ, "hybrid-passivity": _INEQ,
+                  "quadratic-norm": "needs a projection run, which verify does not rebuild",
+                  "convergence": "needs oracle.json; run `pdflow oracle` first"}
+
+
 def cmd_verify(args) -> int:
     out = Path(args.dir)
     manifest = out / "manifest.json"
@@ -167,6 +174,11 @@ def cmd_verify(args) -> int:
     reports = monitor.run_certificates(traj, oracle=oracle)
     if scn.certificates and "auto" not in scn.certificates:
         reports = [r for r in reports if r.name in scn.certificates]
+        missing = [c for c in scn.certificates if c not in {r.name for r in reports}]
+        if missing:
+            print("requested certificate(s) produced no report: "
+                  + "; ".join(f"{c} ({_WHY_NO_REPORT[c]})" for c in missing), file=sys.stderr)
+            return EXIT_VALIDATION
     # an inconclusive convergence report means the run has not settled: not a pass
     failed = [r for r in reports if r.status in (monitor.FAIL, monitor.INCONCLUSIVE)]
     _write_json(out / "report.json", {

@@ -13,17 +13,17 @@ How a mode is advanced depends on the run's field:
   exp(k dt_max Z_sigma) for k up to _STACK_CAP and exp(r Z_sigma) for each
   remainder r, so one batched matmul gives the state at every dt_max
   sub-point of a span and one sign test finds the first sub-step that
-  crosses. The crossing is located by a safeguarded Newton method on the
-  exact event function. The exponentials come from `matrix_exp.expm`.
+  crosses. The exponentials come from `matrix_exp.expm`.
 - Other runs take adaptive Dormand-Prince 5(4) steps over the frozen field of
-  the current mode. A crossing bridged by an accepted step is isolated by
-  bisection on the step length; each candidate state comes from a single
-  exact-length Runge-Kutta step from the step start, so the located state is
-  an integrator state, not an interpolant.
+  the current mode and test event signs at the end of each accepted step.
 
-Either way the event is applied at a point just past the crossing, with the
-event function within event_tol on the post side; sigma is recomputed from
-scratch, and the events are classified and appended to the ledger. Samples
+Event i's function is phi_i = mu_i off sigma and -g_i on it. One
+safeguarded Newton method locates each crossing of a span from phi_i and its
+exact slope at a candidate state: exp(s Z) z on affine runs; on DP5(4) runs
+a single exact-length step from the step start (an integrator state, not an
+interpolant) and the field there. The earliest point is applied, just past
+its crossing with phi_i within event_tol on the post side; sigma is
+recomputed, and the events are classified and appended to the ledger. Samples
 are recorded on a fixed stride, at the horizon, and on both sides of every
 event; the post-switch sample time is nudged by one ulp so recorded times
 stay strictly increasing.
@@ -80,13 +80,13 @@ class DivergenceError(RuntimeError):
 class IntegratorOptions:
     """Step-size bounds, tolerances, horizon, and sampling stride (seconds).
 
-    On the DP5(4) path (generic and projection runs) every field applies:
-    steps start at dt_init, stay in [dt_min, dt_max] and meet rtol/atol.
-    Affine runs follow the exact flow, with no error control: rtol, atol and
-    dt_init are unused there, dt_max is the grid on which event signs are
-    tested, and dt_min only floors the event bracket. On both paths events
-    are located to event_tol on the event function and samples are recorded
-    every record_stride; `monitor` also scales its violation budgets by rtol.
+    On the DP5(4) path (generic and projection runs) steps start at dt_init,
+    stay in [dt_min, dt_max] and meet rtol/atol. Affine runs follow the exact
+    flow: rtol, atol and dt_init are unused there and dt_max is the grid on
+    which event signs are tested. On both paths dt_min floors the event
+    bracket, events are located to event_tol on the event function (stat
+    `bisection_propagations` counts the root finder's iterations), samples
+    are recorded every record_stride, and `monitor` scales budgets by rtol.
     """
 
     horizon: float
@@ -207,12 +207,17 @@ STAT_KEYS = (
 _STACK_CAP = 64
 
 
+def _event_values(clamped, mu, g):
+    """phi_i = mu_i off sigma, -g_i on it: event i's function, nonnegative before
+    its crossing. Linear in (mu, g), so it maps their rates to its slope."""
+    return np.where(clamped, -g, mu)
+
+
 class _ExactMode:
     """One mode of an affine run: Z_sigma, its cached exponentials, its event rows.
 
-    Row i of `event_rows` is c_i with c_i . z the event function of index i,
-    nonnegative before its crossing: mu_i off sigma, -g_i on it. Row i of
-    `event_slopes` is c_i Z, so c_i Z z is that function's exact derivative.
+    Row i of `event_rows` is c_i with c_i . z event i's function; row i of
+    `event_slopes` is c_i Z, so c_i Z z is its exact derivative.
     """
 
     def __init__(self, field: AffineField, sigma: frozenset, dt: float):
@@ -220,9 +225,9 @@ class _ExactMode:
         N, p = Z.shape[0] - 1, field.p
         self.clamped = np.zeros(p, dtype=bool)
         self.clamped[sorted(sigma)] = True
-        off = np.eye(N + 1)[field.imu : N]
-        on = -np.hstack([field.G, np.zeros((p, N - field.n)), field.d[:, None]])
-        self.event_rows = np.where(self.clamped[:, None], on, off)
+        g_rows = np.hstack([field.G, np.zeros((p, N - field.n)), field.d[:, None]])
+        mu_rows = np.eye(N + 1)[field.imu : N]
+        self.event_rows = _event_values(self.clamped[:, None], mu_rows, g_rows)
         self.event_slopes = self.event_rows @ Z
         self.dt = dt
         self.stack = None
@@ -252,11 +257,12 @@ class _Engine:
     of mu in y. The loop advances toward the next record time and records
     there; how it advances depends on the field:
 
-    - `AffineField`: each chunk is exact (`_exact_chunk`). rtol, atol and
-      dt_init are unused, dt_max is the grid on which event signs are tested,
-      and dt_min only floors the event bracket.
+    - `AffineField`: each chunk is exact (`_exact_chunk`); dt_max is the
+      grid on which event signs are tested.
     - any other field: one adaptive DP5(4) step over the stage field
-      `rates(t, y, clamped)` (`_dp5_step`), with bisection for events.
+      `rates(t, y, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
+
+    Both hand a crossed span to `_apply_first_event`.
     """
 
     def __init__(self, field, proj: ProjectionSystem, y0, sigma0, opts):
@@ -308,6 +314,57 @@ class _Engine:
             self.sigma = new_sigma
         self.t, self.y = t_ev, y_ev
 
+    # -- event location ---------------------------------------------------
+
+    def _apply_first_event(self, event, t_a, h, phi_a, phi_end, y_end):
+        """Locate each event crossed on (t_a, t_a + h] and apply the earliest.
+
+        `event(i, s)` gives (phi_i, its slope, state) at t_a + s; `phi_a` and
+        `phi_end` hold the event functions at t_a and t_a + h, y_end the state.
+        """
+        s_apply, y_apply = math.inf, None
+        for i in np.flatnonzero(phi_end < 0.0):
+            s, y = self._locate(event, i, t_a, h, phi_a[i], phi_end[i], y_end)
+            if s < s_apply:
+                s_apply, y_apply = s, y
+        self._apply_events(t_a + s_apply, y_apply)
+
+    def _locate(self, event, i, t_a, h, phi_a, phi_end, y_end):
+        """(s, state) just past event i's crossing in (0, h].
+
+        Safeguarded Newton on phi_i along the span with its exact slope, aimed
+        at phi = -event_tol/2 so the point lies strictly on the post side; a
+        step that leaves the bracket or does not halve the last one is
+        replaced by bisection. The point's time t_a + s must also lie past
+        t_a in floating point, so a crossing closer to t_a than its time
+        resolution cannot meet the tolerance.
+        """
+        tol = self.opts.event_tol
+        if phi_end >= -tol:
+            return h, y_end.copy()
+        target = -0.5 * tol
+        lo, hi, last_step = 0.0, h, h
+        psi_lo, psi_hi = phi_a - target, phi_end - target
+        s = min(max(h * psi_lo / (psi_lo - psi_hi), 0.0), h)
+        floor = max(self.opts.dt_min, 4.0 * np.finfo(float).eps * h)
+        for _ in range(200):
+            phi, slope, y = event(i, s)
+            self.stats["bisection_propagations"] += 1
+            psi = phi - target
+            if abs(psi) <= 0.25 * tol and t_a + s > t_a:
+                return s, y
+            lo, hi = (s, hi) if psi > 0.0 else (lo, s)
+            if hi - lo <= floor:
+                break
+            s_new = s - psi / slope if slope else lo
+            if not lo < s_new < hi or abs(s_new - s) > 0.5 * last_step:
+                s_new = 0.5 * (lo + hi)
+            last_step, s = abs(s_new - s), s_new
+        raise EventIsolationError(
+            f"cannot isolate the event of index {i} in [{t_a!r}, {t_a + h!r}] "
+            f"(residual {psi + target!r})"
+        )
+
     # -- main loop ----------------------------------------------------------
 
     def run(self):
@@ -334,8 +391,8 @@ class _Engine:
 
         A chunk is up to _STACK_CAP sub-steps of dt_max, or the remainder
         r < dt_max before t_end. One batched matmul gives the state at every
-        sub-point, and one sign test finds the first sub-step that crosses:
-        mu_i < 0 off sigma, or g_i > 0 on sigma.
+        sub-point, and one sign test of the event functions finds the first
+        sub-step that crosses.
         """
         t, dt, tiny, stats = self.t, self.opts.dt_max, self.tiny, self.stats
         mode = self._modes.get(self.sigma)
@@ -357,10 +414,9 @@ class _Engine:
             raise DivergenceError(f"non-finite state after t={t!r}", t, self.y.copy())
         k = None
         if self.p:
-            mu = X[:, self.imu :]
             g = self.field.constraint_values(X[:, : self.field.n])
-            crossed = np.where(mode.clamped, g > 0.0, mu < 0.0)
-            rows = np.flatnonzero(crossed.any(axis=1))
+            phi = _event_values(mode.clamped, X[:, self.imu :], g)
+            rows = np.flatnonzero((phi < 0.0).any(axis=1))
             if rows.size:
                 k = int(rows[0])
         taken = len(X) if k is None else k + 1
@@ -371,70 +427,26 @@ class _Engine:
             return True
         t_a = t if k == 0 else float(times[k - 1])
         z_a = z if k == 0 else np.append(X[k - 1], 1.0)
-        s_apply, y_apply = math.inf, None
-        for i in np.flatnonzero(crossed[k]):
-            phi_end = -g[k, i] if mode.clamped[i] else mu[k, i]
-            s, y = self._newton(mode, i, t_a, z_a, h, phi_end, X[k])
-            if s < s_apply:
-                s_apply, y_apply = s, y
-        self._apply_events(t_a + s_apply, y_apply)
-        return False
 
-    def _newton(self, mode, i, t_a, z_a, h, phi_end, y_end):
-        """(s, state) just past event i's crossing in (0, h] along exp(s Z) z_a.
-
-        Safeguarded Newton on phi(s) = c_i . exp(s Z) z_a with the exact
-        derivative c_i Z exp(s Z) z_a, aimed at phi = -event_tol/2 so the
-        point lies strictly on the post side; a step that leaves the bracket
-        or does not halve the last one is replaced by bisection. The point's
-        time t_a + s must also lie past t_a in floating point, so a crossing
-        closer to t_a than its time resolution cannot meet the tolerance.
-        """
-        opts = self.opts
-        tol = opts.event_tol
-        if phi_end >= -tol:
-            return h, y_end.copy()
-        c, dc = mode.event_rows[i], mode.event_slopes[i]
-        target = -0.5 * tol
-        lo, hi = 0.0, h
-        psi_lo, psi_hi = float(c @ z_a) - target, phi_end - target
-        s = min(max(h * psi_lo / (psi_lo - psi_hi), 0.0), h)
-        last_step = h
-        floor = max(opts.dt_min, 4.0 * np.finfo(float).eps * h)
-        for _ in range(200):
+        def event(i, s):
             z = expm(s * mode.Z) @ z_a
-            self.stats["bisection_propagations"] += 1
-            psi = float(c @ z) - target
-            if abs(psi) <= 0.25 * tol and t_a + s > t_a:
-                return s, z[:-1]
-            if psi > 0.0:
-                lo = s
-            else:
-                hi = s
-            if hi - lo <= floor:
-                break
-            slope = float(dc @ z)
-            s_new = s - psi / slope if slope else lo
-            if not lo < s_new < hi or abs(s_new - s) > 0.5 * last_step:
-                s_new = 0.5 * (lo + hi)
-            last_step, s = abs(s_new - s), s_new
-        raise EventIsolationError(
-            f"cannot isolate the event of index {i} in [{t_a!r}, {t_a + h!r}] "
-            f"(residual {psi + target!r})"
-        )
+            return float(mode.event_rows[i] @ z), float(mode.event_slopes[i] @ z), z[:-1]
+
+        phi_a = [float(c @ z_a) for c in mode.event_rows]
+        self._apply_first_event(event, t_a, h, phi_a, phi[k], X[k])
+        return False
 
     # -- other runs: adaptive DP5(4) ----------------------------------------
 
     def _stage_field(self, sigma):
-        """The stage field of a mode, built on the mode's first visit."""
-        f = self._modes.get(sigma)
-        if f is None:
+        """(stage field, clamped mask) of a mode, built on the mode's first visit."""
+        mode = self._modes.get(sigma)
+        if mode is None:
             mask = np.zeros(self.p, dtype=bool)
-            if sigma:
-                mask[list(sigma)] = True
+            mask[sorted(sigma)] = True
             rhs = self.field.rates
-            f = self._modes[sigma] = lambda t, y: rhs(t, y, mask)
-        return f
+            mode = self._modes[sigma] = (lambda t, y: rhs(t, y, mask)), mask
+        return mode
 
     def _error_norm(self, err, y0, y1) -> float:
         if err.size == 0:
@@ -443,69 +455,21 @@ class _Engine:
         val = math.sqrt(float(r @ r) / r.size)
         return val if math.isfinite(val) else math.inf
 
-    def _bisect(self, f, t, y, h, k1, extract, phi_end) -> float:
-        """Application point just past the earliest sign change of one event.
-
-        `extract` maps a candidate end state to the event function value,
-        normalized so the pre side is nonnegative. Returns the step length at
-        which |phi| <= event_tol on the post side.
-        """
-        tol = self.opts.event_tol
-        if abs(phi_end) <= tol:
-            return h
-        lo, hi, phi_hi = 0.0, h, phi_end
-        for _ in range(256):
-            mid = 0.5 * (lo + hi)
-            y_mid, _ = _propagate(f, t, y, mid, k1)
-            self.stats["bisection_propagations"] += 1
-            self.stats["rhs_evals"] += 5
-            phi_mid = extract(t + mid, y_mid)
-            if phi_mid > 0.0:
-                lo = mid
-            else:
-                hi, phi_hi = mid, phi_mid
-            if abs(phi_hi) <= tol:
-                return hi
-            if hi - lo <= max(self.opts.dt_min, 4.0 * np.finfo(float).eps * max(h, 1.0)):
-                if abs(phi_hi) <= tol:
-                    return hi
-                raise EventIsolationError(
-                    f"cannot isolate event near t={t + hi!r} (residual {phi_hi!r})"
-                )
-        raise EventIsolationError(f"event isolation did not converge near t={t!r}")
-
-    def _locate_earliest(self, f, t, y, h, k1, act, deact, mu_end, g_end) -> float:
-        candidates = []
-        for i in act:
-            idx = self.imu + i
-            candidates.append(
-                self._bisect(f, t, y, h, k1, lambda tt, yy, idx=idx: yy[idx], mu_end[i])
-            )
-        for i in deact:
-            candidates.append(
-                self._bisect(
-                    f, t, y, h, k1,
-                    lambda tt, yy, i=i: -self.field.g(tt, yy)[i],
-                    -g_end[i],
-                )
-            )
-        return min(candidates)
-
     def _dp5_step(self, next_rec) -> bool:
         """One accepted DP5(4) step toward next_rec; False when it ended at an event."""
-        opts, stats = self.opts, self.stats
-        cap = min(self.h, opts.dt_max, opts.horizon - self.t)
-        if next_rec > self.t + self.tiny:
-            cap = min(cap, next_rec - self.t)
+        opts, stats, t, y, imu = self.opts, self.stats, self.t, self.y, self.imu
+        cap = min(self.h, opts.dt_max, opts.horizon - t)
+        if next_rec > t + self.tiny:
+            cap = min(cap, next_rec - t)
         h_try = cap
-        f = self._stage_field(self.sigma)
-        k1 = f(self.t, self.y)
+        f, clamped = self._stage_field(self.sigma)
+        k1 = f(t, y)
         stats["rhs_evals"] += 1
         while True:
             stats["step_attempts"] += 1
-            y_new, err = _step_with_error(f, self.t, self.y, h_try, k1)
+            y_new, err = _step_with_error(f, t, y, h_try, k1)
             stats["rhs_evals"] += 6
-            err_norm = self._error_norm(err, self.y, y_new)
+            err_norm = self._error_norm(err, y, y_new)
             if err_norm <= 1.0:
                 break
             if h_try <= opts.dt_min * (1 + 1e-12):
@@ -514,23 +478,23 @@ class _Engine:
             stats["rejected_steps"] += 1
             h_try = max(opts.dt_min, h_try * max(0.2, 0.9 * err_norm ** -0.2))
         if not np.isfinite(y_new).all():
-            raise DivergenceError(f"non-finite state at t={self.t!r}", self.t, self.y.copy())
-        # event detection on the accepted span
+            raise DivergenceError(f"non-finite state at t={t!r}", t, y.copy())
         if self.p:
-            mu_end = y_new[self.imu :]
-            g_end = self.field.g(self.t + h_try, y_new)
-            sigma = self.sigma
-            act = [i for i in range(self.p) if i not in sigma and mu_end[i] < 0.0]
-            deact = [i for i in range(self.p) if i in sigma and g_end[i] > 0.0]
-            if act or deact:
-                s_apply = self._locate_earliest(
-                    f, self.t, self.y, h_try, k1, act, deact, mu_end, g_end
-                )
-                y_ev, _ = _propagate(f, self.t, self.y, s_apply, k1)
-                stats["rhs_evals"] += 5
-                self._apply_events(self.t + s_apply, y_ev)
+            phi_end = _event_values(clamped, y_new[imu:], self.field.g(t + h_try, y_new))
+            if (phi_end < 0.0).any():
+
+                def event(i, s):
+                    y_s, _ = _propagate(f, t, y, s, k1)
+                    d = f(t + s, y_s)
+                    stats["rhs_evals"] += 6
+                    phi = _event_values(clamped, y_s[imu:], self.field.g(t + s, y_s))
+                    slope = _event_values(clamped, d[imu:], self.field.g_rate(t + s, y_s, d))
+                    return float(phi[i]), float(slope[i]), y_s
+
+                phi_a = _event_values(clamped, y[imu:], self.field.g(t, y))
+                self._apply_first_event(event, t, h_try, phi_a, phi_end, y_new)
                 return False
-        self.t = self.t + h_try
+        self.t = t + h_try
         self.y = y_new
         if err_norm > 0:
             h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
@@ -610,6 +574,11 @@ class _InputField:
 
     def g(self, t, y) -> np.ndarray:
         return self.proj.values(self.u(t))
+
+    def g_rate(self, t, y, y_dot) -> np.ndarray:
+        """d/dt g = grads(u) u_dot; zero under a constant input."""
+        u_dot = np.zeros(self.proj.n) if self.u_dot is None else self.u_dot(t)
+        return self.proj.grads(self.u(t)) @ u_dot
 
     def derivatives(self, Z: np.ndarray, sigmas, times) -> np.ndarray:
         T, n = len(times), self.proj.n

@@ -125,8 +125,8 @@ class GenericField:
     """The composed field of any problem, evaluated through its oracles.
 
     The engine state is y = (x, lam, mu) and `v` is None or a callable
-    t -> vector. `rates` is the stage field, `g` the constraint values at one
-    state, and `derivatives` the field at every recorded sample.
+    t -> vector. `rates` is the stage field, `g` and `g_rate` the constraint
+    values and rates at one state, `derivatives` the field at every sample.
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
@@ -166,6 +166,10 @@ class GenericField:
     def g(self, t, y) -> np.ndarray:
         """Constraint values at one engine state."""
         return self.proj.values(y[: self.n])
+
+    def g_rate(self, t, y, y_dot) -> np.ndarray:
+        """d/dt g at one engine state moving at y_dot."""
+        return self.proj.grads(y[: self.n]) @ y_dot[: self.n]
 
     def derivatives(self, Y: np.ndarray, sigmas, times) -> np.ndarray:
         """Field at each row of Y under that row's mode, one stage evaluation per sample."""

@@ -101,6 +101,16 @@ def test_cached_step_serves_most_batch_steps(path_pairs):
     assert rhs(c for c, _ in batch) < 0.5 * rhs(g for _, g in batch)
 
 
+def test_generic_path_locates_events_in_few_newton_iterations(path_pairs):
+    # Newton with the slopes the field gives (mu_dot_i off sigma, -d/dt g_i on
+    # it), where bisection on the step length took about 27 propagations per event
+    generic = [g for _, g in path_pairs]
+    events = sum(len(g.ledger) for g in generic)
+    iterations = sum(g.stats["bisection_propagations"] for g in generic)
+    assert events >= BATCH_SIZE
+    assert iterations <= 3.5 * events
+
+
 def test_compiled_field_matches_composed_vector_field():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -1,4 +1,5 @@
 import hashlib
+import runpy
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from pdflow.integrator import (
     read_trajectory_csv,
     write_ledger_csv,
 )
-from conftest import as_generic
+from conftest import REPO_ROOT, as_generic
 
 SCALAR = quadratic_problem([[2.0]], [-4.0], 4.0)  # (x-2)^2, flow rate 2
 CONST_G = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[0.0]], d=[-1.0])  # g = -1 always
@@ -49,9 +50,10 @@ def test_pure_equality_run_matches_closed_form():
     assert len(traj.ledger) == 0
 
 
-def test_event_time_closed_form():
+@pytest.mark.parametrize("problem", [CONST_G, as_generic(CONST_G)], ids=["affine", "generic"])
+def test_event_time_closed_form(problem):
     # mu(0) = 0.5 with g = -1 and tau = 2: zero crossing at exactly t = 1.0
-    sys = compose(CONST_G, [1.0], [], [2.0])
+    sys = compose(problem, [1.0], [], [2.0])
     opts = IntegratorOptions(horizon=3.0, dt_max=0.1, record_stride=0.5)
     traj = simulate(sys, full_state(sys, [0.0], mu=[0.5]), opts)
     assert len(traj.ledger) == 1
@@ -277,8 +279,9 @@ def test_affine_divergence_error_carries_last_state(monkeypatch):
     assert info.value.state.tolist() == [0.5]
 
 
-def test_event_isolation_error_when_tolerance_unreachable():
-    sys = compose(CONST_G, [1.0], [], [1.0])
+@pytest.mark.parametrize("problem", [CONST_G, as_generic(CONST_G)], ids=["affine", "generic"])
+def test_event_isolation_error_when_tolerance_unreachable(problem):
+    sys = compose(problem, [1.0], [], [1.0])
     # bracket floor (dt_min) is hit long before the absurd event tolerance
     opts = IntegratorOptions(horizon=2.0, dt_init=0.05, dt_min=0.01, dt_max=0.05,
                              record_stride=0.5, event_tol=1e-300)
@@ -336,6 +339,15 @@ def test_stats_count_rejections_and_bisections_and_concat_sums_them():
     b = simulate(sys, full_state(sys, end.x, end.lam, end.mu), opts)
     joined = concat_trajectories(a, b)
     assert joined.stats == {k: a.stats[k] + b.stats[k] for k in STAT_KEYS}
+
+
+def test_projection_run_locates_events_in_few_newton_iterations():
+    # the time-varying run of the mode-revisit demo on the DP5(4) path: Newton
+    # takes the slope of mu_i off sigma and of -g_i = -grads(u) u_dot on it,
+    # where bisection on the step length took about 27 propagations per event
+    traj = runpy.run_path(str(REPO_ROOT / "scripts" / "mode_revisit_demo.py"))["run"]()
+    assert {e.kind for e in traj.ledger} == {"activation", "deactivation"}
+    assert 0 < traj.stats["bisection_propagations"] <= 4 * len(traj.ledger)
 
 
 def test_affine_stats_count_root_finder_iterations_and_no_rejections():

@@ -162,6 +162,27 @@ def test_verify_equality_only_run_reports(tmp_path, scenario_dir):
     assert names == {"unforced-decrease"}
 
 
+@pytest.mark.parametrize("certificates, why, exit_with_oracle", [
+    (["convergence"], "convergence (needs oracle.json", 0),
+    (["unforced-decrease", "switch-ledger"],
+     "unforced-decrease (needs a run without inequalities)", 1),
+], ids=["convergence", "unforced-decrease"])
+def test_verify_exits_1_when_a_requested_certificate_produces_no_report(
+        tmp_path, scenario_dir, capsys, certificates, why, exit_with_oracle):
+    raw = load_raw(scenario_dir, "scalar_ineq")
+    raw["outputs"]["certificates"] = certificates
+    path, out = tmp_path / "scn.json", tmp_path / "run"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert why in err and "switch-ledger" not in err
+    assert not (out / "report.json").exists()
+    assert main(["oracle", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--dir", str(out)]) == exit_with_oracle
+
+
 def test_oracle_cmd_values(tmp_path, scenario_dir, capsys):
     out = tmp_path / "o"
     assert main(["oracle", "--scenario", str(scenario_dir / "eq_qp.json"),
