@@ -159,6 +159,8 @@ _WHY_NO_REPORT = {"unforced-decrease": "needs a run without inequalities",
 
 def cmd_verify(args) -> int:
     out = Path(args.dir)
+    for stale in ("report.json", "report.txt"):  # an exit 1 leaves no earlier report
+        (out / stale).unlink(missing_ok=True)
     manifest = out / "manifest.json"
     if not manifest.exists():
         print(f"missing manifest: {manifest}", file=sys.stderr)

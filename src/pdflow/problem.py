@@ -266,11 +266,6 @@ class ConvexProblem:
             return np.zeros((0, self.n))
         return np.vstack([g.grad(x) for g in self.inequalities])
 
-    def ineq_hessians(self, x: np.ndarray) -> np.ndarray:
-        if not self.inequalities:
-            return np.zeros((0, self.n, self.n))
-        return np.stack([g.hess(x) for g in self.inequalities])
-
     def equality_part(self) -> "ConvexProblem":
         """The same objective and equalities with all inequalities dropped."""
         return ConvexProblem(self.objective, self.equality, (), self.n)
@@ -293,6 +288,8 @@ def quadratic_problem(H, c, const=0.0, A_eq=None, b_eq=None, G=None, d=None) -> 
         eq = AffineMap(np.atleast_2d(np.asarray(A_eq, dtype=float)), b_eq)
     cons = ()
     if G is not None and np.size(G) > 0:
+        if d is None:
+            raise ValueError("G given without d")
         Gm = np.atleast_2d(np.asarray(G, dtype=float))
         dv = _vec(d, "d")
         if Gm.shape[0] != dv.size:
@@ -327,13 +324,9 @@ class KktResidual:
 
     @property
     def max_defect(self) -> float:
-        return max(
-            self.stationarity,
-            self.equality,
-            self.inequality,
-            self.complementarity,
-            self.dual_negativity,
-        )
+        """The largest defect; NaN when any defect is NaN."""
+        return float(np.max([self.stationarity, self.equality, self.inequality,
+                             self.complementarity, self.dual_negativity]))
 
 
 def lagrangian_gradient(problem: ConvexProblem, x, lam, mu):
@@ -523,6 +516,6 @@ def active_set_oracle(problem: ConvexProblem, *, tol: float = 1e-10) -> KktPoint
             mu[i - m] = max(ui, 0.0)
     point = KktPoint(x, lam, mu)
     defect = kkt_residual(problem, point).max_defect
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect is a failure too
         raise InfeasibleProblemError(f"active-set solution has KKT defect {defect:.2e} > {tol:.2e}")
     return point

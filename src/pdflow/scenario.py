@@ -3,16 +3,17 @@
 A scenario is a JSON document with exactly one of a `problem` section (raw
 quadratic/affine data) or an `hvac` section (thermal network plus welfare
 parameters plus tariff), a `dynamics` section (time constants, initial state,
-integrator options), and an `outputs` section. `resolve_scenario` fills every
-default and returns both the built objects and a canonical dict; writing that
-dict back out produces a manifest that re-parses to the identical resolved
-configuration. See scenarios/SCHEMA.md for field-by-field units.
+integrator options), and an `outputs` section. `resolve_scenario` reads each
+field once, filling its default, and returns the built objects plus the record
+of those reads; written out, that record is a manifest that re-parses to the
+identical resolved configuration. See scenarios/SCHEMA.md for field units.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -48,20 +49,46 @@ def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
-def _get(section: dict, key: str, path: str, default=None, required=False):
-    if key not in section:
-        if required:
-            _fail(f"{path}.{key}", "missing required field")
-        return default
-    return section[key]
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError reported at `path`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
-def _section(parent: dict, key: str, path: str, required=False) -> dict:
-    """The object at parent[key]; {} when it is absent or null."""
-    val = _get(parent, key, path, required=required)
-    if not isinstance(val, dict | None):
-        _fail(f"{path}.{key}", f"expected an object, got {val!r}")
-    return val or {}
+_REQUIRED = object()
+
+
+class _Reader:
+    """Reads the fields of one scenario object, each once.
+
+    `raw` is the object ({} when null). `read(key, parse, default)` parses
+    the field, or `default` when it is absent, reporting a bad value at its
+    dotted path, and records the parsed value under `key`. The records nest
+    like the sections, so the root's record is the resolved manifest.
+    """
+
+    def __init__(self, raw, path: str):
+        if not isinstance(raw, dict | None):
+            _fail(path, f"expected an object, got {raw!r}")
+        self.raw, self.path, self.record = raw or {}, path, {}
+
+    def read(self, key: str, parse, default=_REQUIRED):
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in self.raw and default is _REQUIRED:
+            _fail(path, "missing required field")
+        self.record[key] = val = parse(self.raw.get(key, default), path)
+        return val
+
+    def section(self, key: str, default=None) -> "_Reader":
+        sub = self.read(key, _Reader, default)
+        self.record[key] = sub.record
+        return sub
+
+
+def _text(val, path: str) -> str:
+    return str(val)
 
 
 def _array(val, path: str) -> np.ndarray:
@@ -81,11 +108,18 @@ def _number(val, path: str) -> float:
     return float(arr)
 
 
-def _floats(val, path: str) -> list:
+def _floats(val, path: str, size: int | None = None) -> list:
+    """A flat list of numbers; given `size`, exactly that many, where a single
+    number stands for `size` copies of itself."""
     arr = np.atleast_1d(_array(val, path))
     if arr.ndim != 1:
         _fail(path, "expected a flat list of numbers")
-    return [float(v) for v in arr]
+    out = [float(v) for v in arr]
+    if size is not None and len(out) == 1 and size != 1:
+        out *= size
+    if size is not None and len(out) != size:
+        _fail(path, f"expected {size} entries, got {len(out)}")
+    return out
 
 
 def _matrix(val, path: str) -> list:
@@ -97,23 +131,41 @@ def _matrix(val, path: str) -> list:
     return [[float(v) for v in row] for row in arr]
 
 
-def _zone_floats(val, N: int, path: str) -> list:
-    """N numbers; a single number stands for N copies of itself."""
-    arr = _floats(val, path)
-    if len(arr) == 1 and N != 1:
-        arr = arr * N
-    if len(arr) != N:
-        _fail(path, f"expected {N} entries, got {len(arr)}")
-    return arr
+def _positive(val, path: str, size: int) -> list:
+    """`size` positive numbers (time constants, capacitances); null means 1.0."""
+    out = [1.0] * size if val is None else _floats(val, path, size)
+    if any(v <= 0 for v in out):
+        _fail(path, "expected positive numbers")
+    return out
 
 
-def _tau_list(val, size: int, path: str) -> list:
-    if val is None:
-        return [1.0] * size
-    arr = _zone_floats(val, size, path)
-    if any(v <= 0 for v in arr):
-        _fail(path, "time constants must be positive")
-    return arr
+def _initial(val, path: str, size: int, nonnegative: bool = False) -> list:
+    """Exactly `size` initial values; a field of size 0 is not read."""
+    out = _floats(val, path) if size else []
+    if len(out) != size:
+        _fail(path, f"expected {size} entries, got {len(out)}")
+    if nonnegative and any(v < 0 for v in out):
+        _fail(path, "multipliers must be nonnegative")
+    return out
+
+
+def _resistances(val, path: str, size: int) -> list:
+    """R_zone: a full matrix ([] = uncoupled), or a scalar applied between
+    adjacent zones."""
+    if not np.isscalar(val):
+        return _matrix(val, path) or [[0.0] * size for _ in range(size)]
+    rz = _number(val, path)
+    return [[rz if abs(i - j) == 1 else 0.0 for j in range(size)] for i in range(size)]
+
+
+def _certificates(val, path: str) -> list:
+    certs = [val] if isinstance(val, str) else val
+    if not isinstance(certs, list):
+        _fail(path, f"expected a list of names, got {val!r}")
+    for c in certs:
+        if c != "auto" and c not in CERTIFICATE_NAMES:
+            _fail(path, f"unknown certificate {c!r}")
+    return list(certs)
 
 
 @dataclass(frozen=True)
@@ -150,173 +202,83 @@ INTEGRATOR_DEFAULTS = {f.name: 10.0 if f.name == "horizon" else f.default
                        for f in fields(IntegratorOptions)}
 
 
-def _resolve_integrator(dyn: dict, outputs: dict, path: str) -> IntegratorOptions:
-    integ = _section(dyn, "integrator", path)
-    kwargs = {key: _number(integ.get(key, default), f"{path}.integrator.{key}")
-              for key, default in INTEGRATOR_DEFAULTS.items()}
-    if "stride" in outputs:
-        kwargs["record_stride"] = _number(outputs["stride"], "outputs.stride")
-    try:
-        return IntegratorOptions(**kwargs)
-    except ValueError as exc:
-        _fail(f"{path}.integrator", str(exc))
-
-
-def _resolve_certs(outputs: dict) -> tuple:
-    certs = _get(outputs, "certificates", "outputs", default=["auto"])
-    certs = [certs] if isinstance(certs, str) else certs
-    if not isinstance(certs, list):
-        _fail("outputs.certificates", f"expected a list of names, got {certs!r}")
-    for c in certs:
-        if c != "auto" and c not in CERTIFICATE_NAMES:
-            _fail("outputs.certificates", f"unknown certificate {c!r}")
-    return tuple(certs)
-
-
 def resolve_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object")
     has_problem, has_hvac = "problem" in raw, "hvac" in raw
     if has_problem == has_hvac:
         raise ScenarioError("exactly one of 'problem' or 'hvac' sections is required")
-    name = str(_get(raw, "name", "scenario", default="unnamed"))
-    outputs = _section(raw, "outputs", "scenario")
-    out_dir = str(_get(outputs, "dir", "outputs", default=f"out/{name}"))
-    certificates = _resolve_certs(outputs)
-    dyn = _section(raw, "dynamics", "scenario")
-    opts = _resolve_integrator(dyn, outputs, "dynamics")
+    root = _Reader(raw, "")
+    name = root.read("name", _text, "unnamed")
+    outputs = root.section("outputs")
+    out_dir = outputs.read("dir", _text, f"out/{name}")
+    certificates = tuple(outputs.read("certificates", _certificates, ["auto"]))
+    dyn = root.section("dynamics")
+    integ = dyn.section("integrator")
+    kwargs = {key: integ.read(key, _number, default)
+              for key, default in INTEGRATOR_DEFAULTS.items()}
+    if "stride" in outputs.raw:  # an alias, recorded as record_stride only
+        kwargs["record_stride"] = integ.record["record_stride"] = _number(
+            outputs.raw["stride"], "outputs.stride")
+    opts = _build("dynamics.integrator", IntegratorOptions, **kwargs)
+    kind = "problem" if has_problem else "hvac"
+    resolve = _resolve_problem if has_problem else _resolve_hvac
+    problem, composed, initial, bundle = resolve(root.section(kind), dyn)
+    return Scenario(name, kind, root.record, problem, composed, initial, opts,
+                    out_dir, certificates, hvac=bundle)
 
-    if has_problem:
-        return _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates)
-    return _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates)
 
-
-def _resolve_problem_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scenario:
-    sec = _section(raw, "problem", "scenario")
-    obj = _section(sec, "objective", "problem", required=True)
-    H = _matrix(_get(obj, "H", "problem.objective", required=True), "problem.objective.H")
-    c = _floats(_get(obj, "c", "problem.objective", required=True), "problem.objective.c")
-    const = _number(obj.get("const", 0.0), "problem.objective.const")
-    eq = _section(sec, "equality", "problem")
-    A = _matrix(_get(eq, "A", "problem.equality", default=[]), "problem.equality.A")
-    b = _floats(_get(eq, "b", "problem.equality", default=[]), "problem.equality.b") if eq else []
-    iq = _section(sec, "inequality", "problem")
-    G = _matrix(_get(iq, "G", "problem.inequality", default=[]), "problem.inequality.G")
-    d = _floats(_get(iq, "d", "problem.inequality", default=[]), "problem.inequality.d") if iq else []
-    try:
-        problem = quadratic_problem(
-            np.array(H), np.array(c), const,
-            np.array(A) if A else None, np.array(b) if b else None,
-            np.array(G) if G else None, np.array(d) if d else None,
-        )
-    except ValueError as exc:
-        _fail("problem", str(exc))
+def _resolve_problem(sec: _Reader, dyn: _Reader):
+    obj = sec.section("objective", _REQUIRED)
+    H, c = obj.read("H", _matrix), obj.read("c", _floats)
+    const = obj.read("const", _number, 0.0)
+    eq = sec.section("equality")
+    A, b = eq.read("A", _matrix, []), eq.read("b", _floats, [])
+    iq = sec.section("inequality")
+    G, d = iq.read("G", _matrix, []), iq.read("d", _floats, [])
+    problem = _build("problem", quadratic_problem, H, c, const,
+                     A or None, b or None, G or None, d or None)
     n, m, p = problem.n, problem.m, problem.p
-    tau_x = _tau_list(_get(dyn, "tau_x", "dynamics"), n, "dynamics.tau_x")
-    tau_lam = _tau_list(_get(dyn, "tau_lambda", "dynamics"), m, "dynamics.tau_lambda")
-    tau_mu = _tau_list(_get(dyn, "tau_mu", "dynamics"), p, "dynamics.tau_mu")
+    tau_x = dyn.read("tau_x", partial(_positive, size=n), None)
+    tau_lam = dyn.read("tau_lambda", partial(_positive, size=m), None)
+    tau_mu = dyn.read("tau_mu", partial(_positive, size=p), None)
     composed = compose(problem, np.array(tau_x), np.array(tau_lam), np.array(tau_mu))
-    init = _section(dyn, "initial", "dynamics")
-    x0 = _floats(_get(init, "x", "dynamics.initial", default=[0.0] * n), "dynamics.initial.x")
-    lam0 = _floats(_get(init, "lambda", "dynamics.initial", default=[0.0] * m),
-                   "dynamics.initial.lambda") if m else []
-    mu0 = _floats(_get(init, "mu", "dynamics.initial", default=[0.0] * p),
-                  "dynamics.initial.mu") if p else []
-    if len(x0) != n:
-        _fail("dynamics.initial.x", f"expected {n} entries, got {len(x0)}")
-    if len(lam0) != m:
-        _fail("dynamics.initial.lambda", f"expected {m} entries, got {len(lam0)}")
-    if len(mu0) != p:
-        _fail("dynamics.initial.mu", f"expected {p} entries, got {len(mu0)}")
-    if any(v < 0 for v in mu0):
-        _fail("dynamics.initial.mu", "multipliers must be nonnegative")
+    init = dyn.section("initial")
+    x0 = init.read("x", partial(_initial, size=n), [0.0] * n)
+    lam0 = init.read("lambda", partial(_initial, size=m), [0.0] * m)
+    mu0 = init.read("mu", partial(_initial, size=p, nonnegative=True), [0.0] * p)
     initial = full_state(composed, np.array(x0), np.array(lam0), np.array(mu0))
-
-    resolved = {
-        "name": name,
-        "problem": {
-            "objective": {"H": H, "c": c, "const": const},
-            "equality": {"A": A, "b": b},
-            "inequality": {"G": G, "d": d},
-        },
-        "dynamics": {
-            "tau_x": tau_x,
-            "tau_lambda": tau_lam,
-            "tau_mu": tau_mu,
-            "initial": {"x": x0, "lambda": lam0, "mu": mu0},
-            "integrator": asdict(opts),
-        },
-        "outputs": {"dir": out_dir, "certificates": list(certificates)},
-    }
-    return Scenario(name, "problem", resolved, problem, composed, initial, opts,
-                    out_dir, certificates)
+    return problem, composed, initial, None
 
 
-def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scenario:
-    sec = _section(raw, "hvac", "scenario")
-    netsec = _section(sec, "network", "hvac", required=True)
-    R_amb = _floats(_get(netsec, "R_amb", "hvac.network", required=True), "hvac.network.R_amb")
+def _resolve_hvac(sec: _Reader, dyn: _Reader):
+    net = sec.section("network", _REQUIRED)
+    R_amb = net.read("R_amb", _floats)
+    if not R_amb:
+        _fail("hvac.network.R_amb", "expected at least one zone")
     N = len(R_amb)
-    rz_raw = _get(netsec, "R_zone", "hvac.network", default=0.0)
-    if np.isscalar(rz_raw):
-        rz = _number(rz_raw, "hvac.network.R_zone")
-        R_zone = np.zeros((N, N))
-        for i in range(N - 1):
-            R_zone[i, i + 1] = R_zone[i + 1, i] = rz
-        R_zone = R_zone.tolist()
-    else:
-        R_zone = _matrix(rz_raw, "hvac.network.R_zone")
-    try:
-        network = ThermalNetwork(
-            C=np.array(_tau_list(_get(netsec, "C", "hvac.network"), N, "hvac.network.C")),
-            R_zone=np.array(R_zone) if R_zone else np.zeros((N, N)),
-            R_amb=np.array(R_amb),
-            T_inf=_number(_get(netsec, "T_inf", "hvac.network", required=True),
-                          "hvac.network.T_inf"),
-            d=np.array(_floats(_get(netsec, "d", "hvac.network", required=True), "hvac.network.d")),
-            theta=_number(_get(netsec, "theta", "hvac.network", required=True),
-                          "hvac.network.theta"),
-        )
-    except ValueError as exc:
-        _fail("hvac.network", str(exc))
-    wsec = _section(sec, "welfare", "hvac", required=True)
+    zones = partial(_floats, size=N)
+    network = _build("hvac.network", ThermalNetwork,
+                     R_zone=net.read("R_zone", partial(_resistances, size=N), 0.0),
+                     C=net.read("C", partial(_positive, size=N), None),
+                     R_amb=R_amb, T_inf=net.read("T_inf", _number),
+                     d=net.read("d", zones), theta=net.read("theta", _number))
+    wel = sec.section("welfare", _REQUIRED)
+    params = _build("hvac.welfare", WelfareParams,
+                    gamma=wel.read("gamma", zones, 1.0), T_ref=wel.read("T_ref", zones),
+                    b_util=wel.read("b_util", zones, 0.0), rho=wel.read("rho", _floats),
+                    T_min=wel.read("T_min", zones), T_max=wel.read("T_max", zones))
+    tou_sec = sec.section("tou", {"hours": [0.0, 24.0], "prices": [1.0]})
+    tou = _build("hvac.tou", TouSchedule, hours=tou_sec.read("hours", _floats),
+                 prices=tou_sec.read("prices", _floats))
+    loads = sec.section("loads")
+    occupancy_peak = loads.read("occupancy_peak", _number, 0.0)
+    solar_peak = loads.read("solar_peak", _number, 0.0)
 
-    def wvec(key, default=None):
-        required = default is None
-        val = _get(wsec, key, "hvac.welfare", default=default, required=required)
-        return np.array(_zone_floats(val, N, f"hvac.welfare.{key}"))
-
-    try:
-        params = WelfareParams(
-            gamma=wvec("gamma", default=1.0),
-            T_ref=wvec("T_ref"),
-            b_util=wvec("b_util", default=0.0),
-            rho=tuple(_floats(_get(wsec, "rho", "hvac.welfare", required=True),
-                              "hvac.welfare.rho")),
-            T_min=wvec("T_min"),
-            T_max=wvec("T_max"),
-        )
-    except ValueError as exc:
-        _fail("hvac.welfare", str(exc))
-    tousec = (_section(sec, "tou", "hvac") if "tou" in sec
-              else {"hours": [0.0, 24.0], "prices": [1.0]})
-    try:
-        tou = TouSchedule(
-            hours=np.array(_floats(_get(tousec, "hours", "hvac.tou", required=True),
-                                   "hvac.tou.hours")),
-            prices=np.array(_floats(_get(tousec, "prices", "hvac.tou", required=True),
-                                    "hvac.tou.prices")),
-        )
-    except ValueError as exc:
-        _fail("hvac.tou", str(exc))
-    loadsec = _section(sec, "loads", "hvac")
-    occupancy_peak = _number(loadsec.get("occupancy_peak", 0.0), "hvac.loads.occupancy_peak")
-    solar_peak = _number(loadsec.get("solar_peak", 0.0), "hvac.loads.solar_peak")
-
-    tau_T = _tau_list(_get(dyn, "tau_T", "dynamics"), N, "dynamics.tau_T")
-    tau_q = _number(dyn.get("tau_q", 1.0), "dynamics.tau_q")
-    tau_lam = _number(dyn.get("tau_lambda", 1.0), "dynamics.tau_lambda")
-    tau_mu = _tau_list(_get(dyn, "tau_mu", "dynamics"), 2 * N, "dynamics.tau_mu")
+    tau_T = dyn.read("tau_T", partial(_positive, size=N), None)
+    tau_q = dyn.read("tau_q", _number, 1.0)
+    tau_lam = dyn.read("tau_lambda", _number, 1.0)
+    tau_mu = dyn.read("tau_mu", partial(_positive, size=2 * N), None)
     if tau_q <= 0 or tau_lam <= 0:
         _fail("dynamics", "time constants must be positive")
     try:
@@ -326,62 +288,20 @@ def _resolve_hvac_scenario(raw, name, dyn, opts, out_dir, certificates) -> Scena
     except FloatingPointError as exc:
         _fail("hvac.welfare", f"problem data overflow ({exc})")
 
-    init = _section(dyn, "initial", "dynamics")
-    T0 = _zone_floats(_get(init, "T", "dynamics.initial", default=params.T_ref.tolist()),
-                      N, "dynamics.initial.T")
+    init = dyn.section("initial")
+    T0 = init.read("T", zones, params.T_ref.tolist())
     A_row, b_val = steady_state_constraint(network)
-    q_default = float(A_row[0] @ np.array(T0) + b_val)
-    q0 = _number(init.get("q", q_default), "dynamics.initial.q")
-    lam0 = _number(init.get("lambda", 0.0), "dynamics.initial.lambda")
-    mu_low = _zone_floats(_get(init, "mu_low", "dynamics.initial", default=[0.0] * N),
-                          N, "dynamics.initial.mu_low")
-    mu_high = _zone_floats(_get(init, "mu_high", "dynamics.initial", default=[0.0] * N),
-                           N, "dynamics.initial.mu_high")
+    q0 = init.read("q", _number, float(A_row[0] @ np.array(T0) + b_val))
+    lam0 = init.read("lambda", _number, 0.0)
+    mu_low = init.read("mu_low", zones, 0.0)
+    mu_high = init.read("mu_high", zones, 0.0)
     if any(v < 0 for v in mu_low + mu_high):
         _fail("dynamics.initial", "multipliers must be nonnegative")
-    initial = full_state(
-        hsys.composed,
-        np.array(T0 + [q0]),
-        np.array([lam0]),
-        np.array(mu_low + mu_high),
-    )
-    resolved = {
-        "name": name,
-        "hvac": {
-            "network": {
-                "C": network.C.tolist(),
-                "R_zone": network.R_zone.tolist(),
-                "R_amb": network.R_amb.tolist(),
-                "T_inf": network.T_inf,
-                "d": network.d.tolist(),
-                "theta": network.theta,
-            },
-            "welfare": {
-                "gamma": params.gamma.tolist(),
-                "T_ref": params.T_ref.tolist(),
-                "b_util": params.b_util.tolist(),
-                "rho": list(params.rho),
-                "T_min": params.T_min.tolist(),
-                "T_max": params.T_max.tolist(),
-            },
-            "tou": {"hours": tou.hours.tolist(), "prices": tou.prices.tolist()},
-            "loads": {"occupancy_peak": occupancy_peak, "solar_peak": solar_peak},
-        },
-        "dynamics": {
-            "tau_T": tau_T,
-            "tau_q": tau_q,
-            "tau_lambda": tau_lam,
-            "tau_mu": tau_mu,
-            "initial": {"T": T0, "q": q0, "lambda": lam0,
-                        "mu_low": mu_low, "mu_high": mu_high},
-            "integrator": asdict(opts),
-        },
-        "outputs": {"dir": out_dir, "certificates": list(certificates)},
-    }
+    initial = full_state(hsys.composed, np.array(T0 + [q0]), np.array([lam0]),
+                         np.array(mu_low + mu_high))
     bundle = HvacBundle(network, params, tou, occupancy_peak, solar_peak,
                         tau_T, tau_q, tau_lam, tau_mu)
-    return Scenario(name, "hvac", resolved, hsys.problem, hsys.composed, initial,
-                    opts, out_dir, certificates, hvac=bundle)
+    return hsys.problem, hsys.composed, initial, bundle
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -394,8 +314,8 @@ def apply_overrides(raw: dict, horizon=None, dt_max=None, out_dir=None) -> dict:
     out = json.loads(json.dumps(raw))
     if not isinstance(out, dict):
         return out  # resolve_scenario reports it
-    dyn = out["dynamics"] = _section(out, "dynamics", "scenario")
-    integ = dyn["integrator"] = _section(dyn, "integrator", "dynamics")
+    dyn = out["dynamics"] = _Reader(out.get("dynamics"), "dynamics").raw
+    integ = dyn["integrator"] = _Reader(dyn.get("integrator"), "dynamics.integrator").raw
     if horizon is not None:
         integ["horizon"] = float(horizon)
     if dt_max is not None:
@@ -403,7 +323,7 @@ def apply_overrides(raw: dict, horizon=None, dt_max=None, out_dir=None) -> dict:
         integ["dt_max"] = float(dt_max)
         integ["dt_init"] = min(float(dt_max), _number(dt_init, "dynamics.integrator.dt_init"))
     if out_dir is not None:
-        out["outputs"] = _section(out, "outputs", "scenario")
+        out["outputs"] = _Reader(out.get("outputs"), "outputs").raw
         out["outputs"]["dir"] = str(out_dir)
     return out
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdflow.problem
 from pdflow import (
     InfeasibleProblemError,
     KktPoint,
+    KktResidual,
     OracleCapabilityError,
     SmoothScalar,
     active_set_oracle,
@@ -57,6 +59,23 @@ def test_kkt_residual_at_solution_and_off_solution():
     assert res2.inequality == pytest.approx(1.0)  # g(2) = 1 violated
     assert res2.stationarity == pytest.approx(0.0)
     assert res2.equality == 0.0 and res2.complementarity == pytest.approx(0.0)
+
+
+def test_inequality_rows_need_d():
+    with pytest.raises(ValueError, match="G given without d"):
+        quadratic_problem(**SCALAR, G=[[1.0]], d=None)
+
+
+def test_max_defect_propagates_nan():
+    assert np.isnan(KktResidual(1e-16, 0.0, np.nan, np.nan, 0.0).max_defect)
+    assert KktResidual(1e-16, 0.0, 3.0, 2.0, 0.0).max_defect == 3.0
+
+
+def test_oracle_never_returns_a_point_with_nan_defect(monkeypatch):
+    monkeypatch.setattr(pdflow.problem, "kkt_residual",
+                        lambda problem, point: KktResidual(0.0, 0.0, np.nan, 0.0, 0.0))
+    with pytest.raises(InfeasibleProblemError, match="nan"):
+        active_set_oracle(quadratic_problem(**SCALAR))
 
 
 def test_oracle_unconstrained_minimum():

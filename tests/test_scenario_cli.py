@@ -11,6 +11,7 @@ import pdflow.cli
 import pdflow.hvac
 from pdflow import OracleCapabilityError, StepTooLargeError, Trajectory, simulate
 from pdflow.cli import _reconstruct_trajectory, main
+from pdflow.problem import quadratic_data
 from pdflow.scenario import ScenarioError, load_scenario, resolve_scenario, scenario_to_dict
 
 from conftest import SCENARIO_DIR
@@ -26,6 +27,22 @@ def test_manifest_round_trip(scenario_dir, name):
     first = scenario_to_dict(resolve_scenario(raw))
     second = scenario_to_dict(resolve_scenario(json.loads(json.dumps(first))))
     assert first == second
+
+
+def test_manifest_carries_the_defaults(scenario_dir):
+    eq = resolve_scenario(load_raw(scenario_dir, "eq_qp")).resolved
+    assert eq["problem"]["inequality"] == {"G": [], "d": []}
+    assert eq["dynamics"]["tau_mu"] == []
+    assert eq["dynamics"]["initial"]["mu"] == []
+    raw = load_raw(scenario_dir, "hvac_four_zone")
+    assert raw["hvac"]["network"]["R_zone"] == 20.0
+    raw["hvac"]["network"]["d"] = 0.5
+    del raw["hvac"]["tou"]
+    hv = resolve_scenario(raw).resolved["hvac"]
+    assert hv["network"]["R_zone"] == [[0.0, 20.0, 0.0, 0.0], [20.0, 0.0, 20.0, 0.0],
+                                       [0.0, 20.0, 0.0, 20.0], [0.0, 0.0, 20.0, 0.0]]
+    assert hv["network"]["d"] == [0.5] * 4
+    assert hv["tou"] == {"hours": [0.0, 24.0], "prices": [1.0]}
 
 
 def test_exactly_one_section_required():
@@ -148,6 +165,19 @@ def test_verify_fails_an_unconverged_run(tmp_path, scenario_dir):
     assert _reconstruct_trajectory(load_scenario(out / "manifest.json"), out).stats == {}
 
 
+def test_failed_verify_removes_the_earlier_report(tmp_path, scenario_dir):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario_dir / "scalar_ineq.json"),
+                 "--out", str(out)]) == 0
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["all_passed"]
+    ledger = out / "ledger.csv"
+    ledger.write_text(ledger.read_text().replace("S_after", "", 1))  # cut the header
+    assert main(["verify", "--dir", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    assert not (out / "report.txt").exists()
+
+
 def test_verify_missing_artifacts(tmp_path):
     assert main(["verify", "--dir", str(tmp_path / "nope")]) == 1
 
@@ -204,6 +234,15 @@ def test_oracle_cmd_infeasible(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     assert main(["oracle", "--scenario", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_inequality_rows_without_d_exit_1(command, tmp_path, scenario_dir, capsys):
+    raw = _with_value(load_raw(scenario_dir, "scalar_ineq"), ("problem", "inequality", "d"), ABSENT)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "problem: G given without d" in capsys.readouterr().err
 
 
 def test_hvac_simulate_ledger_structure(tmp_path, scenario_dir):
@@ -352,12 +391,23 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(val, prefix + (key,))
 
 
+class _Absent:
+    def __repr__(self):
+        return "absent"
+
+
+ABSENT = _Absent()  # as a value: the field is left out
+
+
 def _with_value(raw, path, value):
     raw = json.loads(json.dumps(raw))
     node = raw
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is ABSENT:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
     return raw
 
 
@@ -382,14 +432,17 @@ JSON_VALUES = st.recursive(
     ids=[f"{name}:{'.'.join(path)}" for name, path in _all_fields()],
 )
 @settings(max_examples=15, deadline=None)
-@given(value=JSON_VALUES)
+@given(value=JSON_VALUES | st.just(ABSENT))
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow is a silent bad result
 def test_any_json_value_resolves_or_raises_scenario_error(name, path, value):
     raw = _with_value(load_raw(SCENARIO_DIR, name), path, value)
     try:
-        resolve_scenario(raw)
+        scn = resolve_scenario(raw)
     except ScenarioError:
-        pass
+        return
+    assert all(np.all(np.isfinite(a)) for a in quadratic_data(scn.problem))
+    manifest = json.loads(json.dumps(scenario_to_dict(scn)))
+    assert scenario_to_dict(resolve_scenario(manifest)) == manifest
 
 
 MALFORMED = [
@@ -405,6 +458,8 @@ MALFORMED = [
     ("scalar_ineq", ("dynamics",), "x"),
     ("scalar_ineq", ("dynamics", "integrator", "horizon"), 10**400),
     ("scalar_ineq", ("problem", "objective", "c"), None),
+    ("scalar_ineq", ("problem", "inequality", "d"), ABSENT),
+    ("scalar_ineq", ("problem", "inequality", "d"), []),
 ]
 
 
@@ -431,6 +486,16 @@ def test_overflowing_welfare_data_is_a_scenario_error():
     raw = load_raw(SCENARIO_DIR, "hvac_four_zone")
     with pytest.raises(ScenarioError, match="hvac.welfare: problem data overflow"):
         resolve_scenario(_with_value(raw, ("hvac", "welfare", "T_ref"), 1e200))
+
+
+def test_a_building_without_zones_is_a_scenario_error():
+    raw = load_raw(SCENARIO_DIR, "hvac_four_zone")
+    raw["hvac"]["network"].update(R_amb=[], C=1.0, d=0.5)  # every zone field a scalar
+    raw["hvac"]["welfare"].update(gamma=1.0, T_ref=20.0, b_util=0.0, T_min=18.0, T_max=24.0)
+    raw["dynamics"].update(tau_T=1.0, tau_mu=1.0)
+    raw["dynamics"]["initial"].update(T=20.0, mu_low=0.0, mu_high=0.0)
+    with pytest.raises(ScenarioError, match="hvac.network.R_amb: expected at least one zone"):
+        resolve_scenario(raw)
 
 
 def test_overrides_into_a_malformed_section_are_a_scenario_error(tmp_path):
