@@ -21,6 +21,7 @@ from .problem import (
     kkt_residual,
     lagrangian_gradient,
     quadratic_problem,
+    sized,
 )
 from .brayton_moser import (
     BmSystem,

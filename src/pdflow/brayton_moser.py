@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ConvexProblem
+from .problem import ConvexProblem, sized
 
 __all__ = [
     "BmSystem",
@@ -35,16 +35,13 @@ __all__ = [
 
 
 def as_spd_matrix(tau, size: int, name: str) -> np.ndarray:
-    """Normalize a scalar, diagonal vector, or full matrix to an SPD matrix."""
+    """Normalize a full matrix, or a diagonal expanded by `problem.sized`, to an SPD matrix."""
     arr = np.asarray(tau, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(size, float(arr))
-    if arr.ndim == 1:
-        if arr.size != size:
-            raise ValueError(f"{name} has {arr.size} entries, expected {size}")
-        if size and arr.min() <= 0:
+    if arr.ndim < 2:
+        diag = sized(arr, size, name)
+        if np.any(diag <= 0):
             raise ValueError(f"{name} must be positive")
-        return np.diag(arr)
+        return np.diag(diag)
     if arr.shape != (size, size):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({size}, {size})")
     if not np.allclose(arr, arr.T, atol=1e-12 * max(1.0, np.abs(arr).max(initial=0.0))):

@@ -27,7 +27,7 @@ import numpy as np
 from .integrator import IntegratorOptions, Trajectory, concat_trajectories, simulate
 from .interconnect import ComposedSystem, FullState, compose, full_state
 from .monitor import CertificateReport, check_convergence
-from .problem import ConvexProblem, KktPoint, active_set_oracle, quadratic_problem
+from .problem import ConvexProblem, KktPoint, active_set_oracle, quadratic_problem, sized
 
 __all__ = [
     "ThermalNetwork",
@@ -55,18 +55,11 @@ class IntervalConvergenceError(RuntimeError):
         self.report = report
 
 
-def _zone_vec(val, N: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(val, dtype=float))
-    if arr.size == 1 and N > 1:
-        arr = np.full(N, float(arr[0]))
-    if arr.size != N:
-        raise ValueError(f"{name} needs {N} entries, got {arr.size}")
-    return arr
-
-
 @dataclass(frozen=True)
 class ThermalNetwork:
-    """RC abstraction of an N-zone building; only its steady state is used."""
+    """RC abstraction of an N-zone building; only its steady state is used.
+
+    N >= 1 is the length of `R_amb`; `C` and `d` expand to N by `problem.sized`."""
 
     C: np.ndarray        # thermal capacitances, transient context only
     R_zone: np.ndarray   # symmetric inter-zone resistances, 0 = no coupling
@@ -78,8 +71,10 @@ class ThermalNetwork:
     def __post_init__(self):
         R_amb = np.atleast_1d(np.asarray(self.R_amb, dtype=float))
         N = R_amb.size
-        C = _zone_vec(self.C, N, "C")
-        d = _zone_vec(self.d, N, "d")
+        if N == 0:
+            raise ValueError("R_amb: expected at least one zone")
+        C = sized(self.C, N, "C")
+        d = sized(self.d, N, "d")
         R_zone = np.asarray(self.R_zone, dtype=float)
         if R_zone.size == 0:
             R_zone = np.zeros((N, N))
@@ -105,9 +100,14 @@ class ThermalNetwork:
         return self.R_amb.size
 
 
+_ZONE_FIELDS = ("gamma", "T_ref", "b_util", "T_min", "T_max")
+
+
 @dataclass(frozen=True)
 class WelfareParams:
-    """Comfort weights, reference temperatures, and generation-cost coefficients."""
+    """Comfort weights, reference temperatures, and generation-cost coefficients.
+
+    The zone fields expand by `problem.sized` to the longest one's length."""
 
     gamma: np.ndarray
     T_ref: np.ndarray
@@ -117,46 +117,25 @@ class WelfareParams:
     T_max: np.ndarray
 
     def __post_init__(self):
-        N = np.atleast_1d(np.asarray(self.T_ref, dtype=float)).size
-        gamma = _zone_vec(self.gamma, N, "gamma")
-        T_ref = _zone_vec(self.T_ref, N, "T_ref")
-        b_util = _zone_vec(self.b_util, N, "b_util")
-        T_min = _zone_vec(self.T_min, N, "T_min")
-        T_max = _zone_vec(self.T_max, N, "T_max")
+        N = max(np.size(getattr(self, name)) for name in _ZONE_FIELDS)
+        zone = {name: sized(getattr(self, name), N, name) for name in _ZONE_FIELDS}
         rho = tuple(float(r) for r in self.rho)
         if len(rho) != 3:
             raise ValueError("rho must have three coefficients")
         if rho[0] <= 0:
             raise ValueError("rho[0] must be positive")
-        if np.any(gamma <= 0):
+        if np.any(zone["gamma"] <= 0):
             raise ValueError("gamma must be positive")
-        if np.any(T_min >= T_max):
+        if np.any(zone["T_min"] >= zone["T_max"]):
             raise ValueError("need T_min < T_max componentwise")
-        for name, val in [
-            ("gamma", gamma), ("T_ref", T_ref), ("b_util", b_util),
-            ("T_min", T_min), ("T_max", T_max),
-        ]:
+        for name, val in zone.items():
             object.__setattr__(self, name, val)
         object.__setattr__(self, "rho", rho)
 
-    @property
-    def N(self) -> int:
-        return self.T_ref.size
-
     def broadcast(self, N: int) -> "WelfareParams":
-        """Expand shared scalar settings to N zones (per-zone values pass through)."""
-        if self.N == N:
-            return self
-        if self.N != 1:
-            raise ValueError(f"cannot broadcast {self.N}-zone parameters to {N} zones")
-        return WelfareParams(
-            gamma=np.full(N, self.gamma[0]),
-            T_ref=np.full(N, self.T_ref[0]),
-            b_util=np.full(N, self.b_util[0]),
-            rho=self.rho,
-            T_min=np.full(N, self.T_min[0]),
-            T_max=np.full(N, self.T_max[0]),
-        )
+        """The same parameters, each zone field expanded to N by `problem.sized`."""
+        return replace(self, **{name: sized(getattr(self, name), N, name)
+                                for name in _ZONE_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -268,12 +247,12 @@ def build_hvac_system(
     tau_lam: float = 1.0,
     tau_mu=1.0,
 ) -> HvacSystem:
+    """The welfare problem composed with its time constants; `tau_T` (N) and
+    `tau_mu` (2N: lower bounds, then upper) expand by `problem.sized`."""
     N = net.N
     params = params.broadcast(N)
-    tau_T = _zone_vec(tau_T, N, "tau_T")
-    tau_mu = _zone_vec(tau_mu, 2 * N, "tau_mu") if np.size(tau_mu) > 1 else np.full(
-        2 * N, float(np.atleast_1d(tau_mu)[0])
-    )
+    tau_T = sized(tau_T, N, "tau_T")
+    tau_mu = sized(tau_mu, 2 * N, "tau_mu")
     problem = build_welfare_problem(net, params)
     composed = compose(
         problem,

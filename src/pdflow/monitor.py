@@ -41,6 +41,9 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 INCONCLUSIVE = "inconclusive"
 
+PRECONDITION_TOL = 1e-8  # check_quadratic_norm: largest g(u*) and |mu_bar g(u*)|
+TOL_X, TOL_KKT = 1e-4, 1e-6  # check_convergence: terminal primal error and KKT defect
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -201,17 +204,18 @@ def check_hybrid_passivity_all(traj) -> list[CertificateReport]:
     return [r for r in reports if r.status != NOT_APPLICABLE]
 
 
-def check_quadratic_norm(traj, mu_bar, precondition_tol: float = 1e-8) -> CertificateReport:
+def check_quadratic_norm(traj, mu_bar) -> CertificateReport:
     """V(mu) = 0.5 (mu - mu_bar)' tau_mu (mu - mu_bar) never increases.
 
     Requires a constant-input run and an equilibrium-set reference point:
-    g(u*) <= 0 and mu_bar_i g_i(u*) = 0 componentwise, else ValueError.
+    g(u*) <= 0 and mu_bar_i g_i(u*) = 0 componentwise, up to
+    PRECONDITION_TOL, else ValueError.
     """
     mu_bar = np.atleast_1d(np.asarray(mu_bar, dtype=float))
     g_star = traj.g[-1]
-    if np.any(g_star > precondition_tol):
+    if np.any(g_star > PRECONDITION_TOL):
         raise ValueError("mu_bar check: g(u*) has positive components")
-    if np.any(np.abs(mu_bar * g_star) > precondition_tol):
+    if np.any(np.abs(mu_bar * g_star) > PRECONDITION_TOL):
         raise ValueError("mu_bar violates complementary slackness at u*")
     dev = traj.mu - mu_bar
     v = 0.5 * np.sum(traj.tau_mu * dev**2, axis=1)
@@ -225,13 +229,12 @@ def check_quadratic_norm(traj, mu_bar, precondition_tol: float = 1e-8) -> Certif
     )
 
 
-def check_convergence(
-    traj, oracle: KktPoint, tol_x: float = 1e-4, tol_kkt: float = 1e-6
-) -> CertificateReport:
+def check_convergence(traj, oracle: KktPoint) -> CertificateReport:
     """Terminal primal error against the oracle point, plus terminal KKT defect.
 
+    Passes when the error is at most TOL_X and the defect at most TOL_KKT.
     Reports the settling time (first time after which the primal error stays
-    below tol_x). If the horizon ended with the error still clearly shrinking
+    below TOL_X). If the horizon ended with the error still clearly shrinking
     the outcome is inconclusive rather than a failure.
     """
     problem = getattr(traj.sys, "problem", None)
@@ -241,14 +244,14 @@ def check_convergence(
     terminal_err = float(err[-1])
     point = KktPoint(traj.x[-1], traj.lam[-1], traj.mu[-1])
     res = kkt_residual(problem, point)
-    above = np.flatnonzero(err > tol_x)
+    above = np.flatnonzero(err > TOL_X)
     if above.size == 0:
         settling = float(traj.times[0])
     elif above[-1] + 1 < err.size:
         settling = float(traj.times[above[-1] + 1])
     else:
         settling = None
-    ok = terminal_err <= tol_x and res.max_defect <= tol_kkt
+    ok = terminal_err <= TOL_X and res.max_defect <= TOL_KKT
     if ok:
         status = PASS
     else:
@@ -256,13 +259,13 @@ def check_convergence(
         ref = float(err[-3]) if err.size >= 3 else float(err[0])
         still_shrinking = terminal_err < 0.999 * ref
         status = INCONCLUSIVE if still_shrinking else FAIL
-    worst = max(terminal_err, res.max_defect * (tol_x / tol_kkt))
+    worst = max(terminal_err, res.max_defect * (TOL_X / TOL_KKT))
     return CertificateReport(
-        "convergence", status, worst, float(traj.times[-1]), tol_x,
+        "convergence", status, worst, float(traj.times[-1]), TOL_X,
         {
             "terminal_x_error": terminal_err,
             "terminal_kkt": res.max_defect,
-            "tol_kkt": tol_kkt,
+            "tol_kkt": TOL_KKT,
             "settling_time": settling,
         },
     )

@@ -31,6 +31,7 @@ __all__ = [
     "kkt_residual",
     "active_set_oracle",
     "quadratic_data",
+    "sized",
     "InfeasibleProblemError",
     "OracleCapabilityError",
 ]
@@ -51,8 +52,22 @@ class OracleCapabilityError(ValueError):
 def _vec(a, name: str) -> np.ndarray:
     out = np.atleast_1d(np.asarray(a, dtype=float))
     if out.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {out.shape}")
+        raise ValueError(f"{name}: expected a flat list of numbers, got shape {out.shape}")
     return out
+
+
+def sized(value, size: int, name: str) -> np.ndarray:
+    """`size` floats from a flat list of that length, or from one number (or a
+    one-entry list) standing for `size` copies, 0 included; else ValueError.
+
+    The one rule for per-component and per-zone values (time constants, zone
+    capacitances, heat gains, comfort data)."""
+    arr = _vec(value, name)
+    if arr.size == 1:
+        return np.full(size, arr[0])
+    if arr.size != size:
+        raise ValueError(f"{name}: expected {size} entries, got {arr.size}")
+    return arr
 
 
 def _mat(a, name: str) -> np.ndarray:
@@ -414,7 +429,10 @@ def _append(Q, R, proj, v):
     return np.column_stack([Q, v / norm]), R2
 
 
-def active_set_oracle(problem: ConvexProblem, *, tol: float = 1e-10) -> KktPoint:
+ORACLE_TOL = 1e-10  # the KKT residual an oracle point must reach
+
+
+def active_set_oracle(problem: ConvexProblem) -> KktPoint:
     """Ground-truth KKT point of a quadratic/affine problem (dual active-set method).
 
     Goldfarb & Idnani (Math. Programming 27, 1983). Starts from the
@@ -424,7 +442,7 @@ def active_set_oracle(problem: ConvexProblem, *, tol: float = 1e-10) -> KktPoint
     A constraint linearly dependent on the active set takes a dual-only step
     that drops an active inequality. The method shares no code with the
     flow and has no limit on p. The returned point satisfies
-    kkt_residual <= tol and its inactive multipliers are exactly 0.0.
+    kkt_residual <= ORACLE_TOL and its inactive multipliers are exactly 0.0.
 
     Raises OracleCapabilityError if the problem is not quadratic/affine and
     InfeasibleProblemError if no step can satisfy a violated constraint.
@@ -516,6 +534,7 @@ def active_set_oracle(problem: ConvexProblem, *, tol: float = 1e-10) -> KktPoint
             mu[i - m] = max(ui, 0.0)
     point = KktPoint(x, lam, mu)
     defect = kkt_residual(problem, point).max_defect
-    if not defect <= tol:  # a NaN defect is a failure too
-        raise InfeasibleProblemError(f"active-set solution has KKT defect {defect:.2e} > {tol:.2e}")
+    if not defect <= ORACLE_TOL:  # a NaN defect is a failure too
+        raise InfeasibleProblemError(
+            f"active-set solution has KKT defect {defect:.2e} > {ORACLE_TOL:.2e}")
     return point

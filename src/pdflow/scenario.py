@@ -26,7 +26,7 @@ from .hvac import (
 )
 from .integrator import IntegratorOptions
 from .interconnect import ComposedSystem, FullState, compose, full_state
-from .problem import ConvexProblem, quadratic_problem
+from .problem import ConvexProblem, quadratic_problem, sized
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "resolve_scenario",
            "scenario_to_dict", "apply_overrides"]
@@ -88,7 +88,9 @@ class _Reader:
 
 
 def _text(val, path: str) -> str:
-    return str(val)
+    if not isinstance(val, str):
+        _fail(path, f"expected a string, got {val!r}")
+    return val
 
 
 def _array(val, path: str) -> np.ndarray:
@@ -109,17 +111,12 @@ def _number(val, path: str) -> float:
 
 
 def _floats(val, path: str, size: int | None = None) -> list:
-    """A flat list of numbers; given `size`, exactly that many, where a single
-    number stands for `size` copies of itself."""
-    arr = np.atleast_1d(_array(val, path))
-    if arr.ndim != 1:
-        _fail(path, "expected a flat list of numbers")
-    out = [float(v) for v in arr]
-    if size is not None and len(out) == 1 and size != 1:
-        out *= size
-    if size is not None and len(out) != size:
-        _fail(path, f"expected {size} entries, got {len(out)}")
-    return out
+    """A flat list of numbers; given `size`, expanded to it by `problem.sized`."""
+    arr = _array(val, path)
+    try:
+        return sized(arr, arr.size if size is None else size, path).tolist()
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _matrix(val, path: str) -> list:
@@ -133,7 +130,7 @@ def _matrix(val, path: str) -> list:
 
 def _positive(val, path: str, size: int) -> list:
     """`size` positive numbers (time constants, capacitances); null means 1.0."""
-    out = [1.0] * size if val is None else _floats(val, path, size)
+    out = _floats(1.0 if val is None else val, path, size)
     if any(v <= 0 for v in out):
         _fail(path, "expected positive numbers")
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import _stack_affine
+from .problem import _stack_affine, sized
 
 __all__ = [
     "MU_ZERO_TOL",
@@ -40,6 +40,8 @@ __all__ = [
 
 # Membership threshold on mu after event-exact clamping; guards float dust only.
 MU_ZERO_TOL = 1e-12
+# How far from zero an index's mu or g may sit when it enters or leaves sigma.
+CONSISTENCY_TOL = 1e-8
 
 ACTIVATION = "activation"
 DEACTIVATION = "deactivation"
@@ -51,7 +53,8 @@ class StepTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionSystem:
-    """p inequality oracles over R^n plus positive multiplier time constants."""
+    """p inequality oracles over R^n plus positive multiplier time constants
+    (`tau_mu`, expanded to p entries by `problem.sized`)."""
 
     inequalities: tuple
     tau_mu: np.ndarray
@@ -61,12 +64,8 @@ class ProjectionSystem:
     def __post_init__(self):
         cons = tuple(self.inequalities)
         object.__setattr__(self, "inequalities", cons)
-        tau = np.atleast_1d(np.asarray(self.tau_mu, dtype=float))
-        if tau.size == 1 and len(cons) > 1:
-            tau = np.full(len(cons), float(tau[0]))
-        if tau.size != len(cons):
-            raise ValueError(f"tau_mu has {tau.size} entries, expected {len(cons)}")
-        if len(cons) and tau.min() <= 0:
+        tau = sized(self.tau_mu, len(cons), "tau_mu")
+        if np.any(tau <= 0):
             raise ValueError("tau_mu must be positive componentwise")
         object.__setattr__(self, "tau_mu", tau)
         object.__setattr__(self, "_affine", _stack_affine(cons))
@@ -103,11 +102,11 @@ def positive_projection(g_val: float, mu: float) -> float:
     return 0.0
 
 
-def compute_sigma(mu, g_vals, mu_tol: float = MU_ZERO_TOL) -> frozenset:
-    """Indices with mu_i at zero and g_i <= 0, where the projection clamps."""
+def compute_sigma(mu, g_vals) -> frozenset:
+    """Indices with mu_i <= MU_ZERO_TOL and g_i <= 0, where the projection clamps."""
     mu = np.asarray(mu, dtype=float)
     g_vals = np.asarray(g_vals, dtype=float)
-    return frozenset(int(i) for i in np.flatnonzero((mu <= mu_tol) & (g_vals <= 0.0)))
+    return frozenset(int(i) for i in np.flatnonzero((mu <= MU_ZERO_TOL) & (g_vals <= 0.0)))
 
 
 def mode_multiplier_rates(sys: ProjectionSystem, g_vals: np.ndarray, sigma) -> np.ndarray:
@@ -155,17 +154,16 @@ class SwitchEvent:
 
 
 def classify_switch(
-    sys: ProjectionSystem, prev: frozenset, new: frozenset, mu, g_vals, t: float,
-    *, consistency_tol: float = 1e-8,
+    sys: ProjectionSystem, prev: frozenset, new: frozenset, mu, g_vals, t: float
 ) -> list[SwitchEvent]:
     """Turn a sigma transition into ordered activation/deactivation events.
 
     Indices entering sigma are activations, indices leaving are deactivations;
     coincident changes are processed in index order and the storage values are
     re-evaluated under each intermediate mode. A transition whose state is
-    inconsistent with either direction (an entering index with g_i clearly
-    positive, or a leaving index with mu_i away from zero) means the caller's
-    step bridged more than one crossing and must be refined.
+    inconsistent with either direction (an entering index with mu_i or g_i
+    above CONSISTENCY_TOL, or a leaving index with mu_i above it) means the
+    caller's step bridged more than one crossing and must be refined.
     """
     if prev == new:
         return []
@@ -174,12 +172,12 @@ def classify_switch(
     entering = new - prev
     leaving = prev - new
     for i in entering:
-        if mu[i] > consistency_tol or g_vals[i] > consistency_tol:
+        if mu[i] > CONSISTENCY_TOL or g_vals[i] > CONSISTENCY_TOL:
             raise StepTooLargeError(
                 f"index {i} entered sigma with mu={mu[i]!r}, g={g_vals[i]!r} at t={t!r}"
             )
     for i in leaving:
-        if mu[i] > consistency_tol:
+        if mu[i] > CONSISTENCY_TOL:
             raise StepTooLargeError(
                 f"index {i} left sigma with mu={mu[i]!r} at t={t!r}"
             )

@@ -498,6 +498,14 @@ def test_a_building_without_zones_is_a_scenario_error():
         resolve_scenario(raw)
 
 
+@pytest.mark.parametrize("path", [("name",), ("outputs", "dir")], ids=".".join)
+@pytest.mark.parametrize("value", [None, 3, True, ["out"], {"a": 1}])
+def test_name_and_output_dir_must_be_strings(path, value):
+    raw = _with_value(load_raw(SCENARIO_DIR, "scalar_ineq"), path, value)
+    with pytest.raises(ScenarioError, match=rf"^{'.'.join(path)}: expected a string"):
+        resolve_scenario(raw)
+
+
 def test_overrides_into_a_malformed_section_are_a_scenario_error(tmp_path):
     path = tmp_path / "bad.json"
     raw = load_raw(SCENARIO_DIR, "scalar_ineq")
