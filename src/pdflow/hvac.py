@@ -27,7 +27,7 @@ import numpy as np
 from .integrator import IntegratorOptions, Trajectory, concat_trajectories, simulate
 from .interconnect import ComposedSystem, FullState, compose, full_state
 from .monitor import CertificateReport, check_convergence
-from .problem import ConvexProblem, KktPoint, active_set_oracle, quadratic_problem, sized
+from .problem import ConvexProblem, KktPoint, _vec, active_set_oracle, quadratic_problem, sized
 
 __all__ = [
     "ThermalNetwork",
@@ -59,7 +59,8 @@ class IntervalConvergenceError(RuntimeError):
 class ThermalNetwork:
     """RC abstraction of an N-zone building; only its steady state is used.
 
-    N >= 1 is the length of `R_amb`; `C` and `d` expand to N by `problem.sized`."""
+    N >= 1 is the length of `R_amb`, a flat list; `C` and `d` expand to N by
+    `problem.sized`."""
 
     C: np.ndarray        # thermal capacitances, transient context only
     R_zone: np.ndarray   # symmetric inter-zone resistances, 0 = no coupling
@@ -69,7 +70,7 @@ class ThermalNetwork:
     theta: float         # consumption-to-demand conversion factor
 
     def __post_init__(self):
-        R_amb = np.atleast_1d(np.asarray(self.R_amb, dtype=float))
+        R_amb = _vec(self.R_amb, "R_amb")
         N = R_amb.size
         if N == 0:
             raise ValueError("R_amb: expected at least one zone")

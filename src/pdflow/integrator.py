@@ -9,11 +9,14 @@ Inside one mode sigma the flow is smooth. Two event families end a mode:
 How a mode is advanced depends on the run's field:
 
 - Affine runs (`AffineField`: a QP under constant input) follow the exact
-  flow z(t + h) = exp(h Z_sigma) z(t), z = (y, 1). Each mode caches
-  exp(k dt_max Z_sigma) for k up to _STACK_CAP and exp(r Z_sigma) for each
-  remainder r, so one batched matmul gives the state at every dt_max
-  sub-point of a span and one sign test finds the first sub-step that
-  crosses. The exponentials come from `matrix_exp.expm`.
+  flow z(t + h) = exp(h Z_sigma) z(t), z = (y, 1), on the sub-step grid
+  h = stride / ceil(stride / dt_max) <= dt_max, so every record time is a
+  grid point. Each mode caches exp(k h Z_sigma) for k up to _STACK_CAP, so
+  one batched matmul gives the state at every grid point of a chunk, one
+  sign test finds the first sub-step that crosses, and the chunk records
+  each sample before it. A remainder exp(r Z_sigma), r < h, reaches the next
+  record time after an event, or a horizon off the grid. The exponentials
+  come from `matrix_exp.expm`.
 - Other runs take adaptive Dormand-Prince 5(4) steps over the frozen field of
   the current mode and test event signs at the end of each accepted step.
 
@@ -82,11 +85,13 @@ class IntegratorOptions:
 
     On the DP5(4) path (generic and projection runs) steps start at dt_init,
     stay in [dt_min, dt_max] and meet rtol/atol. Affine runs follow the exact
-    flow: rtol, atol and dt_init are unused there and dt_max is the grid on
-    which event signs are tested. On both paths dt_min floors the event
-    bracket, events are located to event_tol on the event function (stat
-    `bisection_propagations` counts the root finder's iterations), samples
-    are recorded every record_stride, and `monitor` scales budgets by rtol.
+    flow: rtol, atol and dt_init are unused there, and event signs are tested
+    on the grid h = stride / ceil(stride / dt_max) <= dt_max, with stride the
+    record_stride (or the horizon, if shorter), so every record time is a
+    grid point. On both paths dt_min floors the event bracket, events are
+    located to event_tol on the event function (stat `bisection_propagations`
+    counts the root finder's iterations), samples are recorded every
+    record_stride, and `monitor` scales budgets by rtol.
     """
 
     horizon: float
@@ -203,7 +208,7 @@ STAT_KEYS = (
     "bisection_propagations",
 )
 
-# Most exponentials exp(k dt_max Z) one mode caches; longer spans go in chunks.
+# Most exponentials exp(k h Z) one mode caches; longer spans go in chunks.
 _STACK_CAP = 64
 
 
@@ -231,7 +236,6 @@ class _ExactMode:
         self.event_slopes = self.event_rows @ Z
         self.dt = dt
         self.stack = None
-        self.rest: dict = {}
 
     def powers(self, K: int) -> np.ndarray:
         """exp(k dt Z) for k = 1..K, K <= _STACK_CAP; the stack grows by doubling."""
@@ -242,23 +246,16 @@ class _ExactMode:
         self.stack = S
         return S[:K]
 
-    def remainder(self, r: float) -> np.ndarray:
-        """exp(r Z) as a stack of one, cached per remainder length."""
-        E = self.rest.get(r)
-        if E is None:
-            E = self.rest[r] = expm(r * self.Z)[None]
-        return E
-
 
 class _Engine:
     """Shared hybrid loop; physics enters through one field object.
 
     The field supplies the constraint values `g(t, y)` and the offset `imu`
-    of mu in y. The loop advances toward the next record time and records
-    there; how it advances depends on the field:
+    of mu in y. The loop advances to the horizon, and each advance records
+    the record times it reaches (`_sample`). How it advances depends on the
+    field:
 
-    - `AffineField`: each chunk is exact (`_exact_chunk`); dt_max is the
-      grid on which event signs are tested.
+    - `AffineField`: an exact chunk on the sub-step grid (`_exact_chunk`).
     - any other field: one adaptive DP5(4) step over the stage field
       `rates(t, y, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
 
@@ -275,6 +272,10 @@ class _Engine:
         self.opts = opts
         self.t = 0.0
         self.h = min(opts.dt_init, opts.dt_max, opts.horizon)
+        # a longer stride than the horizon leaves the horizon the only record time
+        self.stride = self.next_rec = min(opts.record_stride, opts.horizon)
+        # the exact path's sub-step; the tolerance keeps 0.07 / 0.01 at 7 sub-steps
+        self.grid = self.stride / max(1, math.ceil(self.stride / opts.dt_max * (1 - 1e-12)))
         self.tiny = 1e-13 * max(1.0, opts.horizon)
         self.samples: list[tuple[float, np.ndarray, frozenset, bool]] = []
         self.ledger: list[SwitchEvent] = []
@@ -291,6 +292,14 @@ class _Engine:
                     return
                 t = np.nextafter(last_t, np.inf)
         self.samples.append((float(t), y.copy(), sigma, pre))
+
+    def _sample(self, t, y):
+        """Record (t, y) at the record time it reaches; move that time past t."""
+        self._record(t, y, self.sigma)
+        while self.next_rec <= t + self.tiny:
+            self.next_rec += self.stride
+        if t < self.opts.horizon - self.tiny:  # the horizon is the last record time
+            self.next_rec = min(self.next_rec, self.opts.horizon)
 
     def recorded(self):
         """(times, states, sigmas, event_pre) of the recorded samples, as arrays."""
@@ -368,63 +377,68 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self):
-        opts = self.opts
-        horizon, stride, tiny = opts.horizon, opts.record_stride, self.tiny
+        horizon = self.opts.horizon
         self._record(self.t, self.y, self.sigma)
         if horizon <= 0:
             return
         advance = self._exact_chunk if isinstance(self.field, AffineField) else self._dp5_step
-        next_rec = min(stride, horizon)
         with np.errstate(over="ignore", invalid="ignore"):
-            while self.t < horizon - tiny:
-                if advance(next_rec) and next_rec <= self.t + tiny:
-                    self._record(self.t, self.y, self.sigma)
-                    while next_rec <= self.t + tiny:
-                        next_rec += stride
-                    next_rec = min(next_rec, horizon)
+            while self.t < horizon - self.tiny:
+                advance()
         self._record(self.t, self.y, self.sigma)
 
     # -- affine runs: exact flow per mode ---------------------------------
 
-    def _exact_chunk(self, t_end) -> bool:
-        """Advance exactly toward t_end; False when the chunk ended at an event.
+    def _exact_chunk(self):
+        """Advance exactly along the sub-step grid, sampling the record times passed.
 
-        A chunk is up to _STACK_CAP sub-steps of dt_max, or the remainder
-        r < dt_max before t_end. One batched matmul gives the state at every
-        sub-point, and one sign test of the event functions finds the first
-        sub-step that crosses.
+        The grid is h = stride / ceil(stride / dt_max) <= dt_max, so from a
+        record time on every record time is a grid point, and a chunk is up
+        to _STACK_CAP grid points toward the horizon. An event starts the grid
+        afresh: the chunk then stops at the next record time, reached by a
+        remainder sub-step r < h, as is a horizon off the grid. One batched
+        matmul gives the state at every sub-point, one sign test of the event
+        functions finds the first sub-step that crosses, and each record time
+        before it is sampled.
         """
-        t, dt, tiny, stats = self.t, self.opts.dt_max, self.tiny, self.stats
+        t, h, tiny, rec, stats = self.t, self.grid, self.tiny, self.next_rec, self.stats
         mode = self._modes.get(self.sigma)
         if mode is None:
-            mode = self._modes[self.sigma] = _ExactMode(self.field, self.sigma, dt)
-        K = min(int((t_end - t + tiny) // dt), _STACK_CAP)
+            mode = self._modes[self.sigma] = _ExactMode(self.field, self.sigma, h)
+        j = round((rec - t) / h)
+        on_grid = abs(t + j * h - rec) <= tiny
+        if on_grid and not j:  # an event ended on the record time
+            return self._sample(t, self.y)
+        t_stop = self.opts.horizon if on_grid else rec
+        K = min(int((t_stop - t + tiny) // h), _STACK_CAP)
         if K:
-            E, h = mode.powers(K), dt
-            times = t + dt * np.arange(1, K + 1)
-            if abs(t_end - times[-1]) <= tiny:
-                times[-1] = t_end
-        elif t_end - t <= tiny:
-            return True
-        else:
-            E, h, times = mode.remainder(t_end - t), t_end - t, [t_end]
+            E = mode.powers(K)
+        else:  # the remainder sub-step
+            h = t_stop - t
+            E = expm(h * mode.Z)[None]
+        times = t + h * np.arange(1, len(E) + 1)
         z = np.append(self.y, 1.0)
         X = E[:, :-1] @ z
         if not np.isfinite(X).all():
             raise DivergenceError(f"non-finite state after t={t!r}", t, self.y.copy())
-        k = None
+        k = len(X)  # the first row past a crossing
         if self.p:
             g = self.field.constraint_values(X[:, : self.field.n])
             phi = _event_values(mode.clamped, X[:, self.imu :], g)
             rows = np.flatnonzero((phi < 0.0).any(axis=1))
             if rows.size:
                 k = int(rows[0])
-        taken = len(X) if k is None else k + 1
+        taken = min(k + 1, len(X))
         stats["step_attempts"] += taken
         stats["cached_steps"] += taken
-        if k is None:
+        j = round((self.next_rec - t) / h)
+        while 0 < j <= k and abs(times[j - 1] - self.next_rec) <= tiny:
+            times[j - 1] = self.next_rec
+            self._sample(self.next_rec, X[j - 1])
+            j = round((self.next_rec - t) / h)
+        if k == len(X):
             self.t, self.y = float(times[-1]), X[-1].copy()
-            return True
+            return
         t_a = t if k == 0 else float(times[k - 1])
         z_a = z if k == 0 else np.append(X[k - 1], 1.0)
 
@@ -434,7 +448,6 @@ class _Engine:
 
         phi_a = [float(c @ z_a) for c in mode.event_rows]
         self._apply_first_event(event, t_a, h, phi_a, phi[k], X[k])
-        return False
 
     # -- other runs: adaptive DP5(4) ----------------------------------------
 
@@ -455,12 +468,12 @@ class _Engine:
         val = math.sqrt(float(r @ r) / r.size)
         return val if math.isfinite(val) else math.inf
 
-    def _dp5_step(self, next_rec) -> bool:
-        """One accepted DP5(4) step toward next_rec; False when it ended at an event."""
+    def _dp5_step(self):
+        """One accepted DP5(4) step toward the next record time, or up to an event."""
         opts, stats, t, y, imu = self.opts, self.stats, self.t, self.y, self.imu
         cap = min(self.h, opts.dt_max, opts.horizon - t)
-        if next_rec > t + self.tiny:
-            cap = min(cap, next_rec - t)
+        if self.next_rec > t + self.tiny:
+            cap = min(cap, self.next_rec - t)
         h_try = cap
         f, clamped = self._stage_field(self.sigma)
         k1 = f(t, y)
@@ -493,7 +506,7 @@ class _Engine:
 
                 phi_a = _event_values(clamped, y[imu:], self.field.g(t, y))
                 self._apply_first_event(event, t, h_try, phi_a, phi_end, y_new)
-                return False
+                return
         self.t = t + h_try
         self.y = y_new
         if err_norm > 0:
@@ -501,7 +514,8 @@ class _Engine:
         else:
             h = h_try * 5.0
         self.h = min(max(h, opts.dt_min), opts.dt_max)
-        return True
+        if self.next_rec <= self.t + self.tiny:
+            self._sample(self.t, self.y)
 
 
 def _resolve_input(v, size: int, name: str):

@@ -5,6 +5,7 @@ import pytest
 
 from pdflow import IntegratorOptions, compose, full_state, quadratic_problem, simulate
 from pdflow import integrator
+from pdflow.interconnect import affine_field
 from pdflow.matrix_exp import expm
 from conftest import as_generic, random_qp_instance
 
@@ -103,3 +104,97 @@ def test_long_spans_are_cut_at_the_stack_cap(monkeypatch):
         events += len(long_.ledger)
     assert events > 0
     assert max(sizes) == integrator._STACK_CAP == 64
+
+
+def _inactive_run(opts):
+    """A run whose one constraint stays slack, so it has no event: (system, start)."""
+    prob = quadratic_problem([[3.0, 1.0], [1.0, 2.0]], [-1.0, 0.5], 0.0,
+                             [[1.0, 1.0]], [-0.5], [[1.0, 0.0]], [-50.0])
+    sys_ = compose(prob, [1.0, 2.0], [1.0], [1.0])
+    start = full_state(sys_, [1.0, -2.0], [0.3], [0.0])
+    return sys_, start, simulate(sys_, start, opts)
+
+
+def _chunk_sizes(monkeypatch):
+    """The sub-step count of each grid chunk; a remainder sub-step is not one."""
+    sizes = []
+    powers = integrator._ExactMode.powers
+    monkeypatch.setattr(integrator._ExactMode, "powers",
+                        lambda self, K: sizes.append(K) or powers(self, K))
+    return sizes
+
+
+def test_chunks_sample_the_stride_sequence_on_the_exact_flow(monkeypatch):
+    # stride 0.3 over dt_max 0.2: the grid is 0.15, and one chunk spans 32 record times
+    sizes = _chunk_sizes(monkeypatch)
+    sys_, start, traj = _inactive_run(IntegratorOptions(horizon=12.0, dt_max=0.2,
+                                                        record_stride=0.3))
+    assert not traj.ledger and traj.stats["step_attempts"] == 80
+    assert sizes == [64, 16]
+    want, t = [0.0], 0.0
+    for _ in range(40):
+        t += 0.3
+        want.append(min(t, 12.0))
+    assert traj.times.tolist() == want
+    assert want != [0.3 * k for k in range(41)]
+    Z = affine_field(sys_).augmented(traj.sigma[0])
+    z0 = np.append(np.concatenate([start.x, start.lam, start.mu]), 1.0)
+    for t_k, y in zip(traj.times, np.hstack([traj.x, traj.lam, traj.mu])):
+        assert _close(y, (expm(t_k * Z) @ z0)[:-1], 1e-12)
+
+
+@pytest.mark.parametrize("horizon", [20.0, 20.02])
+def test_a_chunk_spans_up_to_the_stack_cap_of_sub_steps(monkeypatch, horizon):
+    # stride = dt_max over N = 400 sub-steps: ceil(400 / 64) chunks, and one
+    # remainder sub-step more for a horizon off the grid
+    sizes = _chunk_sizes(monkeypatch)
+    _, _, traj = _inactive_run(IntegratorOptions(horizon=horizon, dt_max=0.05,
+                                                 record_stride=0.05))
+    off_grid = horizon > 20.0
+    assert len(traj) == 401 + off_grid
+    assert traj.stats["step_attempts"] == 400 + off_grid
+    assert sum(sizes) == 400
+    assert len(sizes) + off_grid <= -(-400 // integrator._STACK_CAP) + 1
+
+
+@pytest.mark.parametrize("stride, dt_max, sub_steps", [(0.07, 0.01, 7), (0.04, 0.05, 1),
+                                                       (0.2, 0.05, 4), (0.3, 0.2, 2)])
+def test_the_grid_divides_the_stride_into_the_fewest_sub_steps(monkeypatch, stride, dt_max,
+                                                                sub_steps):
+    # h = stride / ceil(stride / dt_max); 0.07 / 0.01 is 7.000000000000001 in floating
+    # point. Every sub-step is a grid step: none is a remainder.
+    sizes = _chunk_sizes(monkeypatch)
+    _, _, one = _inactive_run(IntegratorOptions(horizon=stride, dt_max=dt_max,
+                                                record_stride=stride))
+    assert one.stats["step_attempts"] == sizes[0] == sub_steps
+    sizes.clear()
+    _, _, ten = _inactive_run(IntegratorOptions(horizon=10 * stride, dt_max=dt_max,
+                                                record_stride=stride))
+    assert ten.stats["step_attempts"] == sum(sizes) == 10 * sub_steps
+
+
+def test_an_event_on_a_record_time_keeps_the_later_samples():
+    # x' = 2 - x from 0 meets the bound x <= 1 - 1e-11 just before ln 2, the first
+    # record time; its event function is within event_tol past zero at that grid
+    # point, so the event is applied there and the next chunk starts on the record time
+    stride = np.log(2.0)
+    prob = quadratic_problem([[1.0]], [-2.0], 0.0, None, None, [[1.0]], [1e-11 - 1.0])
+    sys_ = compose(prob, [1.0], [], [1.0])
+    traj = simulate(sys_, full_state(sys_, [0.0], [], [0.0]),
+                    IntegratorOptions(horizon=3 * stride, dt_max=0.1, record_stride=stride))
+    assert [(e.index, e.kind) for e in traj.ledger] == [(0, "deactivation")]
+    assert abs(traj.ledger[0].time - stride) <= 1e-12
+    assert stride + stride in traj.times.tolist()
+    assert traj.times[-1] == 3 * stride
+
+
+@pytest.mark.parametrize("stride", [5.0, np.inf])
+def test_a_stride_past_the_horizon_records_the_horizon(stride):
+    prob = quadratic_problem([[1.0]], [-2.0], 0.0, None, None, [[1.0]], [-1.0])
+    sys_ = compose(prob, [1.0], [], [1.0])
+    traj = simulate(sys_, full_state(sys_, [0.0], [], [0.0]),
+                    IntegratorOptions(horizon=3.0, dt_max=0.1, record_stride=stride))
+    assert [(e.index, e.kind) for e in traj.ledger] == [(0, "deactivation")]
+    assert traj.times[0] == 0.0 and traj.times[-1] == 3.0
+    assert len(traj) == 4  # the start, both sides of the event, the horizon
+    assert traj.stats["step_attempts"] == 31

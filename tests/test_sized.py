@@ -119,3 +119,9 @@ def test_a_network_needs_a_zone():
 def test_empty_tau_mu_is_a_value_error():
     with pytest.raises(ValueError, match="tau_mu: expected 8 entries, got 0"):
         build_hvac_system(network(4), params(), tau_mu=[])
+
+
+def test_a_nested_r_amb_is_a_value_error():
+    with pytest.raises(ValueError, match=r"R_amb: expected a flat list of numbers, got shape"):
+        ThermalNetwork(C=9.2, R_zone=[], R_amb=[[10.0, 10.0], [10.0, 10.0]], T_inf=30.0,
+                       d=0.5, theta=3.0)
