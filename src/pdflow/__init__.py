@@ -46,6 +46,7 @@ from .interconnect import (
     FullState,
     GenericField,
     affine_field,
+    compiled_field,
     compose,
     composed_vector_field,
     full_state,

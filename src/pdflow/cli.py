@@ -30,7 +30,7 @@ from .integrator import (
     write_ledger_csv,
     write_trajectory_csv,
 )
-from .interconnect import GenericField, affine_field
+from .interconnect import GenericField, compiled_field
 from .problem import (
     InfeasibleProblemError,
     KktPoint,
@@ -128,7 +128,7 @@ def _reconstruct_trajectory(scn: Scenario, out: Path) -> Trajectory:
     if (data["n"], data["m"], data["p"]) != (n, m, p):
         raise ScenarioError("trajectory.csv dimensions disagree with manifest")
     sigmas = [frozenset(i for i in range(p) if mask >> i & 1) for mask in data["sigma_mask"]]
-    field = affine_field(sys_) or GenericField(sys_)
+    field = compiled_field(sys_) or GenericField(sys_)
     return assemble_trajectory(
         field, data["t"], np.hstack([data["x"], data["lam"], data["mu"]]), sigmas,
         data["event_pre"], ledger=ledger, opts=scn.opts,

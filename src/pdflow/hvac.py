@@ -179,6 +179,8 @@ def steady_state_constraint(net: ThermalNetwork) -> tuple[np.ndarray, float]:
     """
     A = (-net.theta / net.R_amb).reshape(1, net.N)
     b = net.theta * float(np.sum(net.T_inf / net.R_amb + net.d))
+    if not np.isfinite(b):  # Python floats overflow to inf without a warning
+        raise ValueError(f"theta * sum(T_inf / R_amb + d) overflows to {b}")
     return A, b
 
 

@@ -18,7 +18,9 @@ How a mode is advanced depends on the run's field:
   record time after an event, or a horizon off the grid. The exponentials
   come from `matrix_exp.expm`.
 - Other runs take adaptive Dormand-Prince 5(4) steps over the frozen field of
-  the current mode and test event signs at the end of each accepted step.
+  the current mode (`stage`) and test event signs at the end of each accepted
+  step. A step's seven stages form one matrix K; the last, f at the endpoint,
+  is the next step's first after a step accepted with no event (FSAL).
 
 Event i's function is phi_i = mu_i off sigma and -g_i on it. One
 safeguarded Newton method locates each crossing of a span from phi_i and its
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .interconnect import AffineField, ComposedSystem, FullState, GenericField, affine_field
+from .interconnect import AffineField, ComposedSystem, FullState, GenericField, compiled_field
 from .matrix_exp import expm
 from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
@@ -162,41 +164,25 @@ class Trajectory:
         return FullState(self.x[-1], self.lam[-1], self.mu[-1], self.sigma[-1])
 
 
-# Dormand-Prince 5(4) coefficients.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+# Dormand-Prince 5(4) coefficients: stage j is f(t + C_j h, y + h (A_j . K[:j])).
+# A's last row is the 5th-order weights, so the last stage is f at the endpoint.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = [np.array(a) for a in ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+                            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+                            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+                            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))]
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _propagate(f, t, y, h, k1=None):
-    """One 6-stage propagation; returns the 5th-order endpoint and stages."""
-    if k1 is None:
-        k1 = f(t, y)
-    k2 = f(t + 0.2 * h, y + h * (_A21 * k1))
-    k3 = f(t + 0.3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = f(t + 0.8 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = f(t + (8 / 9) * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    return y5, (k1, k3, k4, k5, k6)
-
-
-def _step_with_error(f, t, y, h, k1=None):
-    y5, (k1, k3, k4, k5, k6) = _propagate(f, t, y, h, k1)
-    k7 = f(t + h, y5)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return y5, err
+def _dp5(f, t, y, h, k1):
+    """One DP5(4) step from (t, y) over h with first stage k1: the 5th-order
+    endpoint y5 and the (7, N) stage matrix K, whose last row is f(t + h, y5)."""
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for j in range(1, 7):
+        y_j = y + h * (_A[j] @ K[:j])
+        K[j] = f(t + _C[j] * h, y_j)
+    return y_j, K
 
 
 STAT_KEYS = (
@@ -256,8 +242,8 @@ class _Engine:
     field:
 
     - `AffineField`: an exact chunk on the sub-step grid (`_exact_chunk`).
-    - any other field: one adaptive DP5(4) step over the stage field
-      `rates(t, y, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
+    - any other field: one adaptive DP5(4) step over the mode's stage field
+      `stage(sigma, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
 
     Both hand a crossed span to `_apply_first_event`.
     """
@@ -281,6 +267,7 @@ class _Engine:
         self.ledger: list[SwitchEvent] = []
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self._modes: dict = {}
+        self.k_last = None  # the last accepted DP5(4) step's final stage
 
     # -- recording -------------------------------------------------------
 
@@ -457,8 +444,7 @@ class _Engine:
         if mode is None:
             mask = np.zeros(self.p, dtype=bool)
             mask[sorted(sigma)] = True
-            rhs = self.field.rates
-            mode = self._modes[sigma] = (lambda t, y: rhs(t, y, mask)), mask
+            mode = self._modes[sigma] = self.field.stage(sigma, mask), mask
         return mode
 
     def _error_norm(self, err, y0, y1) -> float:
@@ -476,13 +462,15 @@ class _Engine:
             cap = min(cap, self.next_rec - t)
         h_try = cap
         f, clamped = self._stage_field(self.sigma)
-        k1 = f(t, y)
-        stats["rhs_evals"] += 1
+        k1, self.k_last = self.k_last, None
+        if k1 is None:
+            k1 = f(t, y)
+            stats["rhs_evals"] += 1
         while True:
             stats["step_attempts"] += 1
-            y_new, err = _step_with_error(f, t, y, h_try, k1)
+            y_new, K = _dp5(f, t, y, h_try, k1)
             stats["rhs_evals"] += 6
-            err_norm = self._error_norm(err, y, y_new)
+            err_norm = self._error_norm(h_try * (_E @ K), y, y_new)
             if err_norm <= 1.0:
                 break
             if h_try <= opts.dt_min * (1 + 1e-12):
@@ -497,11 +485,11 @@ class _Engine:
             if (phi_end < 0.0).any():
 
                 def event(i, s):
-                    y_s, _ = _propagate(f, t, y, s, k1)
-                    d = f(t + s, y_s)
+                    y_s, K_s = _dp5(f, t, y, s, k1)
                     stats["rhs_evals"] += 6
                     phi = _event_values(clamped, y_s[imu:], self.field.g(t + s, y_s))
-                    slope = _event_values(clamped, d[imu:], self.field.g_rate(t + s, y_s, d))
+                    slope = _event_values(clamped, K_s[6, imu:],
+                                          self.field.g_rate(t + s, y_s, K_s[6]))
                     return float(phi[i]), float(slope[i]), y_s
 
                 phi_a = _event_values(clamped, y[imu:], self.field.g(t, y))
@@ -509,6 +497,7 @@ class _Engine:
                 return
         self.t = t + h_try
         self.y = y_new
+        self.k_last = K[6]
         if err_norm > 0:
             h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:
@@ -542,7 +531,7 @@ def simulate(
     `v` may be None, a constant vector, or a callable t -> vector; a callable
     must be piecewise-C1 and accompanied by its derivative `v_dot` so the port
     powers are well defined between breakpoints. The problem's types choose
-    the field: compiled per mode (`AffineField`) or evaluated per stage
+    the field: compiled per mode (`compiled_field`) or evaluated per stage
     through the oracles (`GenericField`).
     """
     n, m, p = sys.n, sys.m, sys.p
@@ -553,7 +542,7 @@ def simulate(
         raise ValueError("time-varying v requires v_dot")
     vd_fn, _ = _resolve_input(v_dot, n, "v_dot")
 
-    field = affine_field(sys, v_fn(0.0) if v_fn is not None else None) if v_const else None
+    field = compiled_field(sys, v_fn(0.0) if v_fn is not None else None) if v_const else None
     if field is None:
         field = GenericField(sys, v_fn)
     sigma0 = compute_sigma(initial.mu, sys.proj.values(initial.x))
@@ -576,6 +565,7 @@ class _InputField:
     """
 
     imu = 0
+    stage = GenericField.stage
 
     def __init__(self, proj: ProjectionSystem, u, u_dot):
         self.sys = self.proj = proj
@@ -595,12 +585,12 @@ class _InputField:
         return self.proj.grads(self.u(t)) @ u_dot
 
     def derivatives(self, Z: np.ndarray, sigmas, times) -> np.ndarray:
-        T, n = len(times), self.proj.n
+        T, n, proj = len(times), self.proj.n, self.proj
         D = np.zeros_like(Z)
         if self.u_dot is not None:
             D[:, :n] = np.array([self.u_dot(t) for t in times]).reshape(T, n)
-        for k in range(T):
-            D[k, n:] = self.rates(times[k], Z[k, n:], sorted(sigmas[k]))
+        clamped = [[i in s for i in range(proj.p)] for s in sigmas]
+        D[:, n:] = np.where(clamped, 0.0, proj.sampled(Z[:, :n])[0] / proj.tau_mu)
         return D
 
 
@@ -655,23 +645,21 @@ def trajectory_columns(sys, X, MU, D, VD=None) -> dict:
         inequality = u_s' y_s with u_s = xdot and y_s = d/dt y_tilde
         external   = -vdot' xdot (zero whenever v is constant)
 
-    where d/dt y_tilde = sum mudot_i grad g_i + sum mu_i hess g_i xdot. For
-    non-affine constraints the gradient and Hessian oracles are stacked
-    sample by sample; everything else is one array operation.
+    where d/dt y_tilde = sum mudot_i grad g_i + sum mu_i hess g_i xdot.
+    Affine and quadratic constraints are evaluated from their stack, so every
+    column is one array operation; other oracles are called sample by sample.
     """
     composed = isinstance(sys, ComposedSystem)
     proj = sys.proj if composed else sys
     T, n = X.shape
     m = D.shape[1] - n - proj.p
     x_dot, lam_dot, mu_dot = D[:, :n], D[:, n : n + m], D[:, n + m :]
-    if proj.p == 0 or proj._affine is not None:
-        G, d = proj._affine or (np.zeros((0, n)), np.zeros(0))
+    if proj._stack is not None and proj._stack[0] is None:  # affine rows only
+        G, d = proj._stack[1:]
         g = X @ G.T + d
         y_rate = mu_dot @ G
     else:
-        g = np.array([proj.values(x) for x in X]).reshape(T, proj.p)
-        grads = np.array([proj.grads(x) for x in X]).reshape(T, proj.p, n)
-        hess = np.array([proj.hessians(x) for x in X]).reshape(T, proj.p, n, n)
+        g, grads, hess = proj.sampled(X)
         y_rate = np.einsum("ki,kij->kj", mu_dot, grads)
         y_rate += np.einsum("ki,kijl,kl->kj", MU, hess, x_dot)
     s_sigma = 0.5 * (mu_dot**2) @ proj.tau_mu

@@ -13,8 +13,9 @@ the equality-port power -(ydot_tilde + vdot)'xdot and the inequality-port
 power xdot'ydot_tilde cancel, leaving -vdot'xdot.
 
 A run evaluates this field through one object: `GenericField` for any
-problem, or its per-mode compilation `AffineField` when the problem's types
-make each mode affine.
+problem, or its per-mode compilation (`compiled_field`) when the problem's
+types make each mode quadratic, y' = M_sigma y + c_sigma + (B_sigma x) y:
+`QuadraticField`, or its B-free case `AffineField` (affine inequalities).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .switching import ProjectionSystem, compute_sigma
 __all__ = [
     "AffineField",
     "GenericField",
+    "QuadraticField",
     "affine_field",
+    "compiled_field",
     "ComposedSystem",
     "FullState",
     "compose",
@@ -130,38 +133,31 @@ class GenericField:
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
-        self.sys = sys
-        self.n, self.m, self.p = sys.n, sys.m, sys.p
-        self.imu = sys.n + sys.m
-        self.obj = sys.problem.objective
+        self.sys, self.proj, self.obj, self.v = sys, sys.proj, sys.problem.objective, v
+        self.n, self.m, self.p, self.imu = sys.n, sys.m, sys.p, sys.n + sys.m
         self.A, self.b = sys.problem.equality.A, sys.problem.equality.b
-        self.proj = sys.proj
         self.tau_x_inv, self.tau_lam_inv = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
         self.tau_mu = sys.proj.tau_mu
-        self.v = v
 
     def rates(self, t, y, clamped) -> np.ndarray:
         """y' at one state; `clamped` indexes the mode's clamped multipliers (mask or list)."""
-        n, m, imu, proj = self.n, self.m, self.imu, self.proj
-        x = y[:n]
+        n, imu = self.n, self.imu
+        x, mu = y[:n], y[imu:]
         grad = self.obj.grad(x)
-        if m:
+        if self.m:
             grad = grad + self.A.T @ y[n:imu]
-        mu = y[imu:]
         if self.p and mu.any():
-            grad = grad + mu @ proj.grads(x)
+            grad = grad + mu @ self.proj.grads(x)
         if self.v is not None:
             grad = grad + self.v(t)
-        out = np.empty(y.size)
-        out[:n] = -(self.tau_x_inv @ grad)
-        if m:
-            out[n:imu] = self.tau_lam_inv @ (self.A @ x + self.b)
-        if self.p:
-            g = proj.values(x)
-            md = g / self.tau_mu
-            md[clamped] = 0.0
-            out[imu:] = md
-        return out
+        mu_dot = self.proj.values(x) / self.tau_mu
+        mu_dot[clamped] = 0.0
+        lam_dot = self.tau_lam_inv @ (self.A @ x + self.b) if self.m else ()
+        return np.concatenate([-(self.tau_x_inv @ grad), lam_dot, mu_dot])
+
+    def stage(self, sigma, clamped):
+        """The frozen field of mode sigma as f(t, y); `clamped` is its mask."""
+        return lambda t, y: self.rates(t, y, clamped)
 
     def g(self, t, y) -> np.ndarray:
         """Constraint values at one engine state."""
@@ -172,32 +168,40 @@ class GenericField:
         return self.proj.grads(y[: self.n]) @ y_dot[: self.n]
 
     def derivatives(self, Y: np.ndarray, sigmas, times) -> np.ndarray:
-        """Field at each row of Y under that row's mode, one stage evaluation per sample."""
-        rows = [self.rates(t, y, sorted(s)) for t, y, s in zip(times, Y, sigmas)]
-        return np.array(rows).reshape(Y.shape)
+        """Field at each row of Y under that row's mode: the objective and v are
+        called per sample, the constraints through `ProjectionSystem.sampled`."""
+        n, imu = self.n, self.imu
+        X, D = Y[:, :n], np.empty_like(Y)
+        g, grads, _ = self.proj.sampled(X)
+        grad = np.array([self.obj.grad(x) for x in X]) + np.einsum("ti,tij->tj", Y[:, imu:], grads)
+        if self.v is not None:
+            grad += [self.v(t) for t in times]
+        if self.m:
+            grad += Y[:, n:imu] @ self.A
+            D[:, n:imu] = (X @ self.A.T + self.b) @ self.tau_lam_inv.T
+        D[:, :n] = -(grad @ self.tau_x_inv.T)
+        D[:, imu:] = np.where([[i in s for i in range(self.p)] for s in sigmas], 0, g / self.tau_mu)
+        return D
 
 
-class AffineField(GenericField):
-    """The composed field of a QP under constant input, compiled per mode.
+class QuadraticField(GenericField):
+    """The composed field of a QCQP under constant input, compiled per mode.
 
-    With a quadratic objective, affine constraints and a constant input v the
-    field is linear inside each mode sigma: y' = M_sigma y + c_sigma for
-    y = (x, lam, mu). The augmented matrix [[M, c], [0, 0]] of the mode with
-    no index clamped is built once; a mode's matrix zeroes the mu rows of its
-    clamped indices and is cached on the mode's first visit. The engine
-    propagates a mode exactly by exponentials of its matrix and tests event
-    signs with `constraint_values`; `derivatives` uses the mode matrices.
+    With a quadratic objective, inequalities g_i = 0.5 x'P_i x + G_i x + d_i and
+    a constant input v, the field inside mode sigma is y' = M_sigma y + c_sigma
+    + (B_sigma x) y for y = (x, lam, mu). B (N, N, n) holds -T_x^-1 P_i in the
+    x rows by mu_i columns and 0.5 P_i / tau_mu_i in the mu_i rows by x columns.
+    A mode's [[M, c], [0, 0]] and B zero the mu rows of its clamped indices.
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
         super().__init__(sys, _constant(v))
-        n, m, p = sys.n, sys.m, sys.p
-        self.size = n + m + p
+        n, m, p, imu, tau = sys.n, sys.m, sys.p, self.imu, self.tau_mu
+        self.size = size = n + m + p
         obj, eq = sys.problem.objective, sys.problem.equality
         tx, tl = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
-        self.G, self.d = sys.proj._affine or (np.zeros((0, n)), np.zeros(0))
+        P, self.G, self.d = sys.proj._stack
         c = obj.c if v is None else obj.c + np.asarray(v, dtype=float)
-        imu, size = self.imu, self.size
         Z = np.zeros((size + 1, size + 1))
         Z[:n, :n] = -(tx @ obj.H)
         Z[:n, size] = -(tx @ c)
@@ -206,46 +210,78 @@ class AffineField(GenericField):
             Z[n:imu, :n] = tl @ eq.A
             Z[n:imu, size] = tl @ eq.b
         if p:
-            tau = sys.proj.tau_mu
             Z[:n, imu:size] = -(tx @ self.G.T)
             Z[imu:size, :n] = self.G / tau[:, None]
             Z[imu:size, size] = self.d / tau
-        self._modes = {frozenset(): Z}
+        B = None
+        if P is not None:
+            B = np.zeros((size, size, n))
+            B[:n, imu:] = -np.einsum("ab,ibk->aik", tx, P)
+            B[imu:, :n] = 0.5 * P / tau[:, None, None]
+        self._modes = {frozenset(): (Z, B)}
+
+    def mode(self, sigma: frozenset):
+        """(augmented matrix, B) of a mode, B None when every inequality is affine; read-only."""
+        found = self._modes.get(sigma)
+        if found is None:
+            keep = np.ones(self.size + 1, dtype=bool)
+            keep[[self.imu + i for i in sorted(sigma)]] = False
+            Z, B = self._modes[frozenset()]
+            B = B if B is None else np.where(keep[:-1, None, None], B, 0.0)
+            found = self._modes[sigma] = np.where(keep[:, None], Z, 0.0), B
+        return found
 
     def augmented(self, sigma: frozenset) -> np.ndarray:
         """[[M_sigma, c_sigma], [0, 0]]; treat as read-only."""
-        Z = self._modes.get(sigma)
-        if Z is None:
-            Z = self._modes[frozenset()].copy()
-            Z[[self.imu + i for i in sorted(sigma)]] = 0.0
-            self._modes[sigma] = Z
-        return Z
+        return self.mode(sigma)[0]
+
+    def stage(self, sigma, clamped):
+        """One matvec plus one bilinear product per stage."""
+        Z, B = self.mode(sigma)
+        N, n = self.size, self.n
+        ZL, zc = Z[:N, :N].copy(), Z[:N, N].copy()
+        if B is None:
+            return lambda t, y: ZL @ y + zc
+        BL = B.reshape(N * N, n)
+        return lambda t, y: ZL @ y + zc + (BL @ y[:n]).reshape(N, N) @ y
 
     def derivatives(self, Y: np.ndarray, sigmas, times=None) -> np.ndarray:
-        """Field at each row of Y under that row's mode, one matmul per run of equal modes."""
+        """Field at each row of Y under that row's mode, one product per run of equal modes."""
         D = np.empty_like(Y)
         size = self.size
         start = 0
         for k in range(1, len(sigmas) + 1):
             if k == len(sigmas) or sigmas[k] != sigmas[start]:
-                Z = self.augmented(sigmas[start])
-                D[start:k] = Y[start:k] @ Z[:size, :size].T + Z[:size, size]
+                Z, B = self.mode(sigmas[start])
+                Yk = Y[start:k]
+                D[start:k] = Yk @ Z[:size, :size].T + Z[:size, size]
+                if B is not None:
+                    D[start:k] += np.einsum("abk,tk,tb->ta", B, Yk[:, : self.n], Yk)
                 start = k
         return D
+
+
+class AffineField(QuadraticField):
+    """The B-free case, a QP: linear in each mode, so the engine propagates a
+    mode exactly by exponentials of its augmented matrix."""
 
     def constraint_values(self, X: np.ndarray) -> np.ndarray:
         """g at each row of X."""
         return X @ self.G.T + self.d
 
 
-def affine_field(sys: ComposedSystem, v=None) -> AffineField | None:
-    """Compile the field when the problem's types make it affine per mode.
+def compiled_field(sys: ComposedSystem, v=None) -> QuadraticField | None:
+    """The field compiled per mode: needs a Quadratic objective, `AffineScalar`
+    or `QuadraticScalar` inequalities and `v` None or a constant vector. An
+    `AffineField` if every inequality is affine, else a `QuadraticField`; None
+    otherwise, and the run uses a `GenericField`."""
+    stack = sys.proj._stack
+    if not isinstance(sys.problem.objective, Quadratic) or stack is None:
+        return None
+    return (AffineField if stack[0] is None else QuadraticField)(sys, v)
 
-    Needs a Quadratic objective and affine inequalities (equalities are always
-    affine); `v` must be None or a constant vector. Returns None otherwise, and
-    the run uses a `GenericField`.
-    """
-    affine_ineq = sys.p == 0 or sys.proj._affine is not None
-    if isinstance(sys.problem.objective, Quadratic) and affine_ineq:
-        return AffineField(sys, v)
-    return None
+
+def affine_field(sys: ComposedSystem, v=None) -> AffineField | None:
+    """`compiled_field` when every inequality is affine, else None."""
+    stack = sys.proj._stack
+    return compiled_field(sys, v) if stack is not None and stack[0] is None else None

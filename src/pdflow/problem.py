@@ -224,15 +224,35 @@ class AffineMap:
         return self.A @ x + self.b
 
 
-def _stack_affine(constraints) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return stacked (G, d) if every constraint is affine, else None."""
-    if not constraints:
+def _stack(constraints, n: int):
+    """(P, G, d) with g_i(x) = 0.5 x'P_i x + G_i x + d_i when every constraint is
+    AffineScalar or QuadraticScalar, else None. P_i is zero on affine rows and P
+    is None when all rows are affine; one array operation then evaluates them all."""
+    if not all(isinstance(c, (AffineScalar, QuadraticScalar)) for c in constraints):
         return None
-    if not all(isinstance(c, AffineScalar) for c in constraints):
-        return None
-    G = np.vstack([c.a for c in constraints])
-    d = np.array([c.b for c in constraints])
-    return G, d
+    quad = [isinstance(c, QuadraticScalar) for c in constraints]
+    G = np.array([c.q if k else c.a for c, k in zip(constraints, quad)]).reshape(-1, n)
+    d = np.array([c.r if k else c.b for c, k in zip(constraints, quad)], dtype=float)
+    if not any(quad):
+        return None, G, d
+    P = [c.P if k else np.zeros((n, n)) for c, k in zip(constraints, quad)]
+    return np.array(P), G, d
+
+
+def _values(constraints, stack, x: np.ndarray) -> np.ndarray:
+    """g at x: from the stack when there is one, else one oracle call per constraint."""
+    if stack is None:
+        return np.array([g.value(x) for g in constraints])
+    P, G, d = stack
+    return G @ x + d if P is None else G @ x + d + 0.5 * ((P @ x) @ x)
+
+
+def _grads(constraints, stack, x: np.ndarray) -> np.ndarray:
+    """The rows grad g_i(x), from the stack when there is one."""
+    if stack is None:
+        return np.vstack([g.grad(x) for g in constraints])
+    P, G, _ = stack
+    return G if P is None else P @ x + G
 
 
 @dataclass(frozen=True)
@@ -243,7 +263,7 @@ class ConvexProblem:
     equality: AffineMap
     inequalities: tuple
     n: int
-    _affine_ineq: tuple | None = field(default=None, repr=False, compare=False)
+    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
@@ -255,7 +275,7 @@ class ConvexProblem:
             gn = getattr(g, "n", self.n)
             if gn != self.n:
                 raise ValueError(f"inequality {j} has dimension {gn}, expected {self.n}")
-        object.__setattr__(self, "_affine_ineq", _stack_affine(self.inequalities))
+        object.__setattr__(self, "_stack", _stack(self.inequalities, self.n))
 
     @property
     def m(self) -> int:
@@ -269,17 +289,10 @@ class ConvexProblem:
         return self.equality.values(x)
 
     def ineq_values(self, x: np.ndarray) -> np.ndarray:
-        if self._affine_ineq is not None:
-            G, d = self._affine_ineq
-            return G @ x + d
-        return np.array([g.value(x) for g in self.inequalities])
+        return _values(self.inequalities, self._stack, x)
 
     def ineq_grads(self, x: np.ndarray) -> np.ndarray:
-        if self._affine_ineq is not None:
-            return self._affine_ineq[0]
-        if not self.inequalities:
-            return np.zeros((0, self.n))
-        return np.vstack([g.grad(x) for g in self.inequalities])
+        return _grads(self.inequalities, self._stack, x)
 
     def equality_part(self) -> "ConvexProblem":
         """The same objective and equalities with all inequalities dropped."""
@@ -390,12 +403,9 @@ def quadratic_data(problem: ConvexProblem):
     """
     if not isinstance(problem.objective, Quadratic):
         raise OracleCapabilityError("objective is not quadratic")
-    if problem.p and problem._affine_ineq is None:
+    if problem._stack is None or problem._stack[0] is not None:
         raise OracleCapabilityError("inequality constraints are not all affine")
-    if problem._affine_ineq is not None:
-        G, d = problem._affine_ineq
-    else:
-        G, d = np.zeros((0, problem.n)), np.zeros(0)
+    _, G, d = problem._stack
     return (
         problem.objective.H,
         problem.objective.c,

@@ -280,6 +280,7 @@ def _resolve_hvac(sec: _Reader, dyn: _Reader):
         _fail("dynamics", "time constants must be positive")
     try:
         with np.errstate(over="raise", invalid="raise"):
+            A_row, b_val = _build("hvac.network", steady_state_constraint, network)
             hsys = build_hvac_system(network, params, np.array(tau_T), tau_q, tau_lam,
                                      np.array(tau_mu))
     except FloatingPointError as exc:
@@ -287,7 +288,6 @@ def _resolve_hvac(sec: _Reader, dyn: _Reader):
 
     init = dyn.section("initial")
     T0 = init.read("T", zones, params.T_ref.tolist())
-    A_row, b_val = steady_state_constraint(network)
     q0 = init.read("q", _number, float(A_row[0] @ np.array(T0) + b_val))
     lam0 = init.read("lambda", _number, 0.0)
     mu_low = init.read("mu_low", zones, 0.0)

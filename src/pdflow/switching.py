@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import _stack_affine, sized
+from .problem import _grads, _stack, _values, sized
 
 __all__ = [
     "MU_ZERO_TOL",
@@ -54,12 +54,14 @@ class StepTooLargeError(RuntimeError):
 @dataclass(frozen=True)
 class ProjectionSystem:
     """p inequality oracles over R^n plus positive multiplier time constants
-    (`tau_mu`, expanded to p entries by `problem.sized`)."""
+    (`tau_mu`, expanded to p entries by `problem.sized`). Affine and quadratic
+    inequalities are held as one stack (`problem._stack`), so each oracle is
+    one array operation; others are called one constraint at a time."""
 
     inequalities: tuple
     tau_mu: np.ndarray
     n: int
-    _affine: tuple | None = field(default=None, repr=False, compare=False)
+    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         cons = tuple(self.inequalities)
@@ -68,29 +70,35 @@ class ProjectionSystem:
         if np.any(tau <= 0):
             raise ValueError("tau_mu must be positive componentwise")
         object.__setattr__(self, "tau_mu", tau)
-        object.__setattr__(self, "_affine", _stack_affine(cons))
+        object.__setattr__(self, "_stack", _stack(cons, self.n))
 
     @property
     def p(self) -> int:
         return len(self.inequalities)
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        if self._affine is not None:
-            G, d = self._affine
-            return G @ u + d
-        return np.array([g.value(u) for g in self.inequalities])
+        return _values(self.inequalities, self._stack, u)
 
     def grads(self, u: np.ndarray) -> np.ndarray:
-        if self._affine is not None:
-            return self._affine[0]
-        if not self.inequalities:
-            return np.zeros((0, self.n))
-        return np.vstack([g.grad(u) for g in self.inequalities])
+        return _grads(self.inequalities, self._stack, u)
 
     def hessians(self, u: np.ndarray) -> np.ndarray:
-        if not self.inequalities:
-            return np.zeros((0, self.n, self.n))
-        return np.stack([g.hess(u) for g in self.inequalities])
+        if self._stack is None:
+            return np.stack([g.hess(u) for g in self.inequalities])
+        P = self._stack[0]
+        return np.zeros((self.p, self.n, self.n)) if P is None else P
+
+    def sampled(self, X: np.ndarray):
+        """g, gradients and Hessians at each row of X, shaped (T, p), (T, p, n) and
+        (T, p, n, n): one array operation each for a stack, else a call per row."""
+        T, p, n = len(X), self.p, self.n
+        if self._stack is None:
+            return tuple(np.array([f(x) for x in X]).reshape(T, p, *[n] * k)
+                         for k, f in enumerate((self.values, self.grads, self.hessians)))
+        P, (_, G, d) = self.hessians(X), self._stack  # a stack's Hessians are constant
+        PX = np.einsum("ijk,tk->tij", P, X)
+        g = X @ G.T + d + 0.5 * np.einsum("tij,tj->ti", PX, X)
+        return g, G + PX, np.broadcast_to(P, (T, p, n, n))
 
 
 def positive_projection(g_val: float, mu: float) -> float:
@@ -134,12 +142,7 @@ def output_port_rate(sys: ProjectionSystem, u_tilde, mu, mu_dot, u_tilde_dot) ->
     mu_dot = np.asarray(mu_dot, dtype=float)
     if sys.p == 0:
         return np.zeros(sys.n)
-    rate = mu_dot @ sys.grads(u)
-    if mu.any():
-        if sys._affine is None:
-            rate = rate + np.einsum("i,ijk,k->j", mu, sys.hessians(u), np.asarray(u_tilde_dot))
-        # affine constraints contribute no curvature term
-    return rate
+    return mu_dot @ sys.grads(u) + np.einsum("i,ijk,k->j", mu, sys.hessians(u), u_tilde_dot)
 
 
 @dataclass(frozen=True)

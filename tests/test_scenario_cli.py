@@ -452,6 +452,7 @@ MALFORMED = [
     ("scalar_ineq", ("dynamics", "integrator", "horizon"), None),
     ("hvac_four_zone", ("dynamics", "tau_q"), None),
     ("hvac_four_zone", ("hvac", "network", "T_inf"), None),
+    ("hvac_four_zone", ("hvac", "network", "T_inf"), 1.7227892542430526e308),  # b overflows
     ("scalar_ineq", ("problem",), 3),
     ("scalar_ineq", ("outputs", "certificates"), 3),
     ("scalar_ineq", ("dynamics", "integrator"), [1]),
