@@ -6,9 +6,12 @@ Inside one mode sigma the flow is smooth. Two event families end a mode:
                 (only possible with g_i < 0); mu_i is clamped to exactly 0
   deactivation: g_i crossing zero from below while i is inside sigma
 
-How a mode is advanced depends on the run's field:
+How a mode is advanced depends on whether the run's field is affine in it
+(`affine_in`): in every mode of a QP under constant input (`AffineField`), and
+in a QCQP's (`QuadraticField`) once each curved constraint is clamped with
+mu_i = 0, so the bilinear terms mu_i P_i x vanish. The path is chosen per mode:
 
-- Affine runs (`AffineField`: a QP under constant input) follow the exact
+- Affine modes (all of an `AffineField` run's) follow the exact
   flow z(t + h) = exp(h Z_sigma) z(t), z = (y, 1), on the sub-step grid
   h = stride / ceil(stride / dt_max) <= dt_max, so every record time is a
   grid point. Each mode caches exp(k h Z_sigma) for k up to _STACK_CAP, so
@@ -17,14 +20,15 @@ How a mode is advanced depends on the run's field:
   each sample before it. A remainder exp(r Z_sigma), r < h, reaches the next
   record time after an event, or a horizon off the grid. The exponentials
   come from `matrix_exp.expm`.
-- Other runs take adaptive Dormand-Prince 5(4) steps over the frozen field of
-  the current mode (`stage`) and test event signs at the end of each accepted
+- Other modes take adaptive Dormand-Prince 5(4) steps over the frozen field
+  of the mode (`stage`) and test event signs at the end of each accepted
   step. A step's seven stages form one matrix K; the last, f at the endpoint,
-  is the next step's first after a step accepted with no event (FSAL).
+  is the next step's first after a step accepted with no event (FSAL), and
+  never after an exact chunk.
 
 Event i's function is phi_i = mu_i off sigma and -g_i on it. One
 safeguarded Newton method locates each crossing of a span from phi_i and its
-exact slope at a candidate state: exp(s Z) z on affine runs; on DP5(4) runs
+exact slope at a candidate state: exp(s Z) z in affine modes; in DP5(4) modes
 a single exact-length step from the step start (an integrator state, not an
 interpolant) and the field there. The earliest point is applied, just past
 its crossing with phi_i within event_tol on the post side; sigma is
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .interconnect import AffineField, ComposedSystem, FullState, GenericField, compiled_field
+from .interconnect import ComposedSystem, FullState, GenericField, QuadraticField, compiled_field
 from .matrix_exp import expm
 from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
@@ -85,8 +89,8 @@ class DivergenceError(RuntimeError):
 class IntegratorOptions:
     """Step-size bounds, tolerances, horizon, and sampling stride (seconds).
 
-    On the DP5(4) path (generic and projection runs) steps start at dt_init,
-    stay in [dt_min, dt_max] and meet rtol/atol. Affine runs follow the exact
+    In modes whose field is not affine DP5(4) steps start at dt_init, stay
+    in [dt_min, dt_max] and meet rtol/atol. Affine modes follow the exact
     flow: rtol, atol and dt_init are unused there, and event signs are tested
     on the grid h = stride / ceil(stride / dt_max) <= dt_max, with stride the
     record_stride (or the horizon, if shorter), so every record time is a
@@ -205,13 +209,15 @@ def _event_values(clamped, mu, g):
 
 
 class _ExactMode:
-    """One mode of an affine run: Z_sigma, its cached exponentials, its event rows.
+    """One affine mode: Z_sigma, its cached exponentials, its event rows.
 
     Row i of `event_rows` is c_i with c_i . z event i's function; row i of
-    `event_slopes` is c_i Z, so c_i Z z is its exact derivative.
+    `event_slopes` is c_i Z, so c_i Z z is its exact derivative. A QCQP's
+    curved rows are clamped in every affine mode, and `event` adds their
+    -0.5 x'P_i x.
     """
 
-    def __init__(self, field: AffineField, sigma: frozenset, dt: float):
+    def __init__(self, field: QuadraticField, sigma: frozenset, dt: float):
         self.Z = Z = field.augmented(sigma)
         N, p = Z.shape[0] - 1, field.p
         self.clamped = np.zeros(p, dtype=bool)
@@ -220,8 +226,18 @@ class _ExactMode:
         mu_rows = np.eye(N + 1)[field.imu : N]
         self.event_rows = _event_values(self.clamped[:, None], mu_rows, g_rows)
         self.event_slopes = self.event_rows @ Z
+        self.P, self.n = field.P, field.n
         self.dt = dt
         self.stack = None
+
+    def event(self, i, z):
+        """(phi_i, its slope) at the augmented state z."""
+        phi, slope = float(self.event_rows[i] @ z), float(self.event_slopes[i] @ z)
+        if self.P is not None:  # minus 0.5 x'P_i x, and its rate (P_i x) . x_dot
+            Px = self.P[i] @ z[: self.n]
+            phi -= 0.5 * float(Px @ z[: self.n])
+            slope -= float(Px @ (self.Z[: self.n] @ z))
+        return phi, slope
 
     def powers(self, K: int) -> np.ndarray:
         """exp(k dt Z) for k = 1..K, K <= _STACK_CAP; the stack grows by doubling."""
@@ -238,14 +254,16 @@ class _Engine:
 
     The field supplies the constraint values `g(t, y)` and the offset `imu`
     of mu in y. The loop advances to the horizon, and each advance records
-    the record times it reaches (`_sample`). How it advances depends on the
-    field:
+    the record times it reaches (`_sample`). Each advance is chosen by the
+    current mode, by `field.affine_in(sigma, y)`:
 
-    - `AffineField`: an exact chunk on the sub-step grid (`_exact_chunk`).
-    - any other field: one adaptive DP5(4) step over the mode's stage field
+    - affine: an exact chunk on the sub-step grid (`_exact_chunk`), which
+      drops the FSAL stage `k_last`; rtol, atol and dt_init are unused here.
+    - otherwise: one adaptive DP5(4) step over the mode's stage field
       `stage(sigma, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
 
-    Both hand a crossed span to `_apply_first_event`.
+    Both hand a crossed span to `_apply_first_event`. A run can visit one
+    mode on both paths, so each path caches its modes by sigma on its own.
     """
 
     def __init__(self, field, proj: ProjectionSystem, y0, sigma0, opts):
@@ -266,7 +284,8 @@ class _Engine:
         self.samples: list[tuple[float, np.ndarray, frozenset, bool]] = []
         self.ledger: list[SwitchEvent] = []
         self.stats = dict.fromkeys(STAT_KEYS, 0)
-        self._modes: dict = {}
+        self._exact_modes: dict = {}  # sigma -> _ExactMode
+        self._stages: dict = {}  # sigma -> (stage field, clamped mask)
         self.k_last = None  # the last accepted DP5(4) step's final stage
 
     # -- recording -------------------------------------------------------
@@ -368,13 +387,15 @@ class _Engine:
         self._record(self.t, self.y, self.sigma)
         if horizon <= 0:
             return
-        advance = self._exact_chunk if isinstance(self.field, AffineField) else self._dp5_step
         with np.errstate(over="ignore", invalid="ignore"):
             while self.t < horizon - self.tiny:
-                advance()
+                if self.field.affine_in(self.sigma, self.y):
+                    self._exact_chunk()
+                else:
+                    self._dp5_step()
         self._record(self.t, self.y, self.sigma)
 
-    # -- affine runs: exact flow per mode ---------------------------------
+    # -- affine modes: exact flow -------------------------------------------
 
     def _exact_chunk(self):
         """Advance exactly along the sub-step grid, sampling the record times passed.
@@ -389,9 +410,10 @@ class _Engine:
         before it is sampled.
         """
         t, h, tiny, rec, stats = self.t, self.grid, self.tiny, self.next_rec, self.stats
-        mode = self._modes.get(self.sigma)
+        self.k_last = None  # a stage from before the chunk never seeds a DP5(4) step
+        mode = self._exact_modes.get(self.sigma)
         if mode is None:
-            mode = self._modes[self.sigma] = _ExactMode(self.field, self.sigma, h)
+            mode = self._exact_modes[self.sigma] = _ExactMode(self.field, self.sigma, h)
         j = round((rec - t) / h)
         on_grid = abs(t + j * h - rec) <= tiny
         if on_grid and not j:  # an event ended on the record time
@@ -431,20 +453,20 @@ class _Engine:
 
         def event(i, s):
             z = expm(s * mode.Z) @ z_a
-            return float(mode.event_rows[i] @ z), float(mode.event_slopes[i] @ z), z[:-1]
+            return (*mode.event(i, z), z[:-1])
 
-        phi_a = [float(c @ z_a) for c in mode.event_rows]
+        phi_a = [mode.event(i, z_a)[0] for i in range(self.p)]
         self._apply_first_event(event, t_a, h, phi_a, phi[k], X[k])
 
-    # -- other runs: adaptive DP5(4) ----------------------------------------
+    # -- other modes: adaptive DP5(4) ---------------------------------------
 
     def _stage_field(self, sigma):
         """(stage field, clamped mask) of a mode, built on the mode's first visit."""
-        mode = self._modes.get(sigma)
+        mode = self._stages.get(sigma)
         if mode is None:
             mask = np.zeros(self.p, dtype=bool)
             mask[sorted(sigma)] = True
-            mode = self._modes[sigma] = self.field.stage(sigma, mask), mask
+            mode = self._stages[sigma] = self.field.stage(sigma, mask), mask
         return mode
 
     def _error_norm(self, err, y0, y1) -> float:
@@ -565,7 +587,7 @@ class _InputField:
     """
 
     imu = 0
-    stage = GenericField.stage
+    stage, affine_in = GenericField.stage, GenericField.affine_in
 
     def __init__(self, proj: ProjectionSystem, u, u_dot):
         self.sys = self.proj = proj
@@ -590,7 +612,7 @@ class _InputField:
         if self.u_dot is not None:
             D[:, :n] = np.array([self.u_dot(t) for t in times]).reshape(T, n)
         clamped = [[i in s for i in range(proj.p)] for s in sigmas]
-        D[:, n:] = np.where(clamped, 0.0, proj.sampled(Z[:, :n])[0] / proj.tau_mu)
+        D[:, n:] = np.where(clamped, 0.0, proj.sampled(Z[:, :n], 0)[0] / proj.tau_mu)
         return D
 
 

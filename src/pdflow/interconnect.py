@@ -159,6 +159,10 @@ class GenericField:
         """The frozen field of mode sigma as f(t, y); `clamped` is its mask."""
         return lambda t, y: self.rates(t, y, clamped)
 
+    def affine_in(self, sigma, y) -> bool:
+        """Whether mode sigma's field is affine at y, so the exact flow applies."""
+        return False
+
     def g(self, t, y) -> np.ndarray:
         """Constraint values at one engine state."""
         return self.proj.values(y[: self.n])
@@ -172,7 +176,7 @@ class GenericField:
         called per sample, the constraints through `ProjectionSystem.sampled`."""
         n, imu = self.n, self.imu
         X, D = Y[:, :n], np.empty_like(Y)
-        g, grads, _ = self.proj.sampled(X)
+        g, grads = self.proj.sampled(X, 1)
         grad = np.array([self.obj.grad(x) for x in X]) + np.einsum("ti,tij->tj", Y[:, imu:], grads)
         if self.v is not None:
             grad += [self.v(t) for t in times]
@@ -191,7 +195,9 @@ class QuadraticField(GenericField):
     a constant input v, the field inside mode sigma is y' = M_sigma y + c_sigma
     + (B_sigma x) y for y = (x, lam, mu). B (N, N, n) holds -T_x^-1 P_i in the
     x rows by mu_i columns and 0.5 P_i / tau_mu_i in the mu_i rows by x columns.
-    A mode's [[M, c], [0, 0]] and B zero the mu rows of its clamped indices.
+    A mode's [[M, c], [0, 0]] and B zero the mu rows of its clamped indices,
+    so once every curved row (P_i != 0) is clamped with mu_i = 0 the mode is
+    affine, y' = M_sigma y + c_sigma, and runs exactly (`affine_in`).
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
@@ -200,7 +206,9 @@ class QuadraticField(GenericField):
         self.size = size = n + m + p
         obj, eq = sys.problem.objective, sys.problem.equality
         tx, tl = sys.bm._tau_x_inv, sys.bm._tau_lam_inv
-        P, self.G, self.d = sys.proj._stack
+        self.P, self.G, self.d = sys.proj._stack
+        curved = [] if self.P is None else np.flatnonzero(self.P.any(axis=(1, 2))).tolist()
+        self.curved, self.curved_mu = frozenset(curved), tuple(imu + i for i in curved)  # P_i != 0
         c = obj.c if v is None else obj.c + np.asarray(v, dtype=float)
         Z = np.zeros((size + 1, size + 1))
         Z[:n, :n] = -(tx @ obj.H)
@@ -214,10 +222,10 @@ class QuadraticField(GenericField):
             Z[imu:size, :n] = self.G / tau[:, None]
             Z[imu:size, size] = self.d / tau
         B = None
-        if P is not None:
+        if self.P is not None:
             B = np.zeros((size, size, n))
-            B[:n, imu:] = -np.einsum("ab,ibk->aik", tx, P)
-            B[imu:, :n] = 0.5 * P / tau[:, None, None]
+            B[:n, imu:] = -np.einsum("ab,ibk->aik", tx, self.P)
+            B[imu:, :n] = 0.5 * self.P / tau[:, None, None]
         self._modes = {frozenset(): (Z, B)}
 
     def mode(self, sigma: frozenset):
@@ -234,6 +242,18 @@ class QuadraticField(GenericField):
     def augmented(self, sigma: frozenset) -> np.ndarray:
         """[[M_sigma, c_sigma], [0, 0]]; treat as read-only."""
         return self.mode(sigma)[0]
+
+    def affine_in(self, sigma, y) -> bool:
+        """Every curved row clamped in sigma with mu_i exactly 0, so the bilinear
+        terms mu_i P_i x vanish; a clamped mu_i in (0, MU_ZERO_TOL] keeps its."""
+        return self.curved <= sigma and not any(y[i] for i in self.curved_mu)
+
+    def constraint_values(self, X: np.ndarray) -> np.ndarray:
+        """g at each row of X."""
+        g = X @ self.G.T + self.d
+        if self.P is not None:
+            g += 0.5 * np.einsum("tj,ijk,tk->ti", X, self.P, X)
+        return g
 
     def stage(self, sigma, clamped):
         """One matvec plus one bilinear product per stage."""
@@ -262,12 +282,8 @@ class QuadraticField(GenericField):
 
 
 class AffineField(QuadraticField):
-    """The B-free case, a QP: linear in each mode, so the engine propagates a
-    mode exactly by exponentials of its augmented matrix."""
-
-    def constraint_values(self, X: np.ndarray) -> np.ndarray:
-        """g at each row of X."""
-        return X @ self.G.T + self.d
+    """The B-free case, a QP: affine in every mode, so the engine propagates
+    each mode exactly by exponentials of its augmented matrix."""
 
 
 def compiled_field(sys: ComposedSystem, v=None) -> QuadraticField | None:

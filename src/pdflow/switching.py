@@ -88,17 +88,19 @@ class ProjectionSystem:
         P = self._stack[0]
         return np.zeros((self.p, self.n, self.n)) if P is None else P
 
-    def sampled(self, X: np.ndarray):
-        """g, gradients and Hessians at each row of X, shaped (T, p), (T, p, n) and
-        (T, p, n, n): one array operation each for a stack, else a call per row."""
+    def sampled(self, X: np.ndarray, order: int = 2):
+        """g and its derivatives up to `order` at each row of X: values, gradients
+        and Hessians shaped (T, p), (T, p, n) and (T, p, n, n); one array
+        operation each for a stack, else a call per row of each oracle asked for."""
         T, p, n = len(X), self.p, self.n
         if self._stack is None:
+            oracles = (self.values, self.grads, self.hessians)[: order + 1]
             return tuple(np.array([f(x) for x in X]).reshape(T, p, *[n] * k)
-                         for k, f in enumerate((self.values, self.grads, self.hessians)))
+                         for k, f in enumerate(oracles))
         P, (_, G, d) = self.hessians(X), self._stack  # a stack's Hessians are constant
         PX = np.einsum("ijk,tk->tij", P, X)
         g = X @ G.T + d + 0.5 * np.einsum("tij,tj->ti", PX, X)
-        return g, G + PX, np.broadcast_to(P, (T, p, n, n))
+        return (g, G + PX, np.broadcast_to(P, (T, p, n, n)))[: order + 1]
 
 
 def positive_projection(g_val: float, mu: float) -> float:

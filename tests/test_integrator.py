@@ -15,6 +15,7 @@ from pdflow import (
     ProjectionSystem,
     Quadratic,
     QuadraticScalar,
+    SmoothScalar,
     compose,
     composed_vector_field,
     compute_sigma,
@@ -330,9 +331,11 @@ def test_stats_count_rejections_and_bisections_and_concat_sums_them():
     sys = compose(as_generic(CONST_G), [1.0], [], [2.0])  # the DP5(4) path
     opts = IntegratorOptions(horizon=3.0, dt_init=0.1, dt_max=0.1, record_stride=0.5,
                              rtol=1e-12, atol=1e-14)
-    a = simulate(sys, full_state(sys, [0.0], mu=[0.5]), opts)
+    # mu' = -0.5 from 0.53: one event at t = 1.06, strictly inside the step
+    # [1.0, 1.1], so the locator iterates whatever the rounding at step ends
+    a = simulate(sys, full_state(sys, [0.0], mu=[0.53]), opts)
     assert set(a.stats) == set(STAT_KEYS)
-    assert a.stats["bisection_propagations"] > 0  # one event at t = 1
+    assert a.stats["bisection_propagations"] > 0
     assert a.stats["rejected_steps"] > 0
     assert a.stats["forced_accepts"] == 0
     end = a.final_state
@@ -348,6 +351,24 @@ def test_projection_run_locates_events_in_few_newton_iterations():
     traj = runpy.run_path(str(REPO_ROOT / "scripts" / "mode_revisit_demo.py"))["run"]()
     assert {e.kind for e in traj.ledger} == {"activation", "deactivation"}
     assert 0 < traj.stats["bisection_propagations"] <= 4 * len(traj.ledger)
+
+
+def test_hessians_are_evaluated_only_for_the_derived_columns():
+    # the field and the projection run's rates need g and its gradients; only
+    # trajectory_columns uses Hessians, once per sample and constraint
+    calls = []
+    curved = SmoothScalar(lambda x: 0.5 * x @ x - 1.0, lambda x: x.copy(),
+                          lambda x: calls.append(1) or np.eye(1))
+    problem = ConvexProblem(Quadratic([[2.0]], [-4.0]), AffineMap(np.zeros((0, 1)), []),
+                            (curved,), 1)
+    sys = compose(problem, [1.0], [], [1.0])
+    opts = IntegratorOptions(horizon=3.0, dt_max=0.1, record_stride=0.25, rtol=1e-8)
+    traj = simulate(sys, full_state(sys, [0.0], mu=[0.0]), opts)
+    assert traj.ledger and len(calls) == len(traj)
+    calls.clear()
+    proj = simulate_projection(sys.proj, lambda t: np.array([2.0 * np.sin(t)]), [0.2], opts,
+                               u_dot=lambda t: np.array([2.0 * np.cos(t)]))
+    assert proj.ledger and len(calls) == len(proj)
 
 
 def test_affine_stats_count_root_finder_iterations_and_no_rejections():
