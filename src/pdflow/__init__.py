@@ -45,7 +45,6 @@ from .interconnect import (
     ComposedSystem,
     FullState,
     GenericField,
-    affine_field,
     compiled_field,
     compose,
     composed_vector_field,

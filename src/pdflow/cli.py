@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 scenario/validation error, 2 simulation failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -368,7 +369,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pdflow` parser, built once per process; treat it as read-only."""
     parser = argparse.ArgumentParser(
         prog="pdflow",
         description="Primal-dual gradient flow simulator and certificate checker",
@@ -380,31 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None, help="output directory override")
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--dt-max", type=float, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="check certificates over run artifacts")
     p_ver.add_argument("--dir", required=True, help="directory with simulate artifacts")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("oracle", help="active-set ground truth for a scenario")
     p_or.add_argument("--scenario", required=True)
     p_or.add_argument("--out", default=None)
-    p_or.set_defaults(func=cmd_oracle)
 
     p_day = sub.add_parser("hvac-day", help="24 h time-of-use scenario run")
     p_day.add_argument("--scenario", required=True)
     p_day.add_argument("--out", default=None)
-    p_day.set_defaults(func=cmd_hvac_day)
 
     p_self = sub.add_parser("selftest", help="quick end-to-end battery")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so a replaced cmd_<name> sees every call
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

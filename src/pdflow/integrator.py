@@ -22,9 +22,12 @@ mu_i = 0, so the bilinear terms mu_i P_i x vanish. The path is chosen per mode:
   come from `matrix_exp.expm`.
 - Other modes take adaptive Dormand-Prince 5(4) steps over the frozen field
   of the mode (`stage`) and test event signs at the end of each accepted
-  step. A step's seven stages form one matrix K; the last, f at the endpoint,
-  is the next step's first after a step accepted with no event (FSAL), and
-  never after an exact chunk.
+  step. One step loop serves every field: stages run on the augmented state
+  z = (1, y) and form one matrix K whose column 0 is zero; the last, f at
+  the endpoint, is the next step's first after a step accepted with no event
+  (FSAL), and never after an exact chunk. A `QuadraticField` stage is one
+  product that also gives g, so the sign test reads g at the step's end from
+  the last stage; other fields' `g` is called there.
 
 Event i's function is phi_i = mu_i off sigma and -g_i on it. One
 safeguarded Newton method locates each crossing of a span from phi_i and its
@@ -168,25 +171,29 @@ class Trajectory:
         return FullState(self.x[-1], self.lam[-1], self.mu[-1], self.sigma[-1])
 
 
-# Dormand-Prince 5(4) coefficients: stage j is f(t + C_j h, y + h (A_j . K[:j])).
+# Dormand-Prince 5(4) coefficients: stage j is f(t + C_j h, z + (h A_j) . K).
 # A's last row is the 5th-order weights, so the last stage is f at the endpoint.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [np.array(a) for a in ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-                            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-                            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-                            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))]
+_A = np.array([a + (0.0,) * (7 - len(a)) for a in (
+    (), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _dp5(f, t, y, h, k1):
-    """One DP5(4) step from (t, y) over h with first stage k1: the 5th-order
-    endpoint y5 and the (7, N) stage matrix K, whose last row is f(t + h, y5)."""
-    K = np.empty((7, y.size))
-    K[0] = k1
+def _dp5(f, t, z, h, k1, width):
+    """One DP5(4) step from (t, z), z = (1, y), over h with first stage k1 = y':
+    the 5th-order endpoint z5 and the (7, width) stage matrix K. Row j is
+    (0, stage j's output), so column 0, the rate of z's leading 1, stays zero;
+    the last row is f(t + h, z5)."""
+    K = np.zeros((7, width))
+    K[0, 1 : k1.size + 1] = k1
+    hA, KZ = h * _A, K[:, : z.size]
     for j in range(1, 7):
-        y_j = y + h * (_A[j] @ K[:j])
-        K[j] = f(t + _C[j] * h, y_j)
-    return y_j, K
+        z_j = z + hA[j] @ KZ
+        K[j, 1:] = f(t + _C[j] * h, z_j)
+    return z_j, K
 
 
 STAT_KEYS = (
@@ -260,7 +267,8 @@ class _Engine:
     - affine: an exact chunk on the sub-step grid (`_exact_chunk`), which
       drops the FSAL stage `k_last`; rtol, atol and dt_init are unused here.
     - otherwise: one adaptive DP5(4) step over the mode's stage field
-      `stage(sigma, clamped)` (`_dp5_step`); `g_rate` gives on-sigma slopes.
+      `stage(sigma, clamped)` on z = (1, y) (`_dp5_step`); `g_rate` gives
+      on-sigma slopes.
 
     Both hand a crossed span to `_apply_first_event`. A run can visit one
     mode on both paths, so each path caches its modes by sigma on its own.
@@ -286,7 +294,9 @@ class _Engine:
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self._exact_modes: dict = {}  # sigma -> _ExactMode
         self._stages: dict = {}  # sigma -> (stage field, clamped mask)
-        self.k_last = None  # the last accepted DP5(4) step's final stage
+        self.k_last = None  # the last accepted DP5(4) step's final stage, y' at its end
+        # a stage matrix row: the leading 1's zero rate, y', and g where the stage gives it
+        self.width = 1 + self.y.size + (self.p if isinstance(field, QuadraticField) else 0)
 
     # -- recording -------------------------------------------------------
 
@@ -478,21 +488,23 @@ class _Engine:
 
     def _dp5_step(self):
         """One accepted DP5(4) step toward the next record time, or up to an event."""
-        opts, stats, t, y, imu = self.opts, self.stats, self.t, self.y, self.imu
+        opts, stats, t, y, imu, width = self.opts, self.stats, self.t, self.y, self.imu, self.width
+        N = y.size
         cap = min(self.h, opts.dt_max, opts.horizon - t)
         if self.next_rec > t + self.tiny:
             cap = min(cap, self.next_rec - t)
         h_try = cap
         f, clamped = self._stage_field(self.sigma)
+        z = np.concatenate(((1.0,), y))
         k1, self.k_last = self.k_last, None
         if k1 is None:
-            k1 = f(t, y)
+            k1 = f(t, z)[:N]
             stats["rhs_evals"] += 1
         while True:
             stats["step_attempts"] += 1
-            y_new, K = _dp5(f, t, y, h_try, k1)
+            z_new, K = _dp5(f, t, z, h_try, k1, width)
             stats["rhs_evals"] += 6
-            err_norm = self._error_norm(h_try * (_E @ K), y, y_new)
+            err_norm = self._error_norm(h_try * (_E @ K[:, 1 : N + 1]), y, z_new[1:])
             if err_norm <= 1.0:
                 break
             if h_try <= opts.dt_min * (1 + 1e-12):
@@ -500,18 +512,21 @@ class _Engine:
                 break
             stats["rejected_steps"] += 1
             h_try = max(opts.dt_min, h_try * max(0.2, 0.9 * err_norm ** -0.2))
+        y_new = z_new[1:]
         if not np.isfinite(y_new).all():
             raise DivergenceError(f"non-finite state at t={t!r}", t, y.copy())
-        if self.p:
-            phi_end = _event_values(clamped, y_new[imu:], self.field.g(t + h_try, y_new))
+        if self.p:  # g at the endpoint: the last stage's, if it gives g
+            g_end = K[6, N + 1 :] if width > N + 1 else self.field.g(t + h_try, y_new)
+            phi_end = _event_values(clamped, y_new[imu:], g_end)
             if (phi_end < 0.0).any():
 
                 def event(i, s):
-                    y_s, K_s = _dp5(f, t, y, s, k1)
+                    z_s, K_s = _dp5(f, t, z, s, k1, width)
+                    y_s, y_dot = z_s[1:], K_s[6, 1 : N + 1]
                     stats["rhs_evals"] += 6
                     phi = _event_values(clamped, y_s[imu:], self.field.g(t + s, y_s))
-                    slope = _event_values(clamped, K_s[6, imu:],
-                                          self.field.g_rate(t + s, y_s, K_s[6]))
+                    slope = _event_values(clamped, y_dot[imu:],
+                                          self.field.g_rate(t + s, y_s, y_dot))
                     return float(phi[i]), float(slope[i]), y_s
 
                 phi_a = _event_values(clamped, y[imu:], self.field.g(t, y))
@@ -519,7 +534,7 @@ class _Engine:
                 return
         self.t = t + h_try
         self.y = y_new
-        self.k_last = K[6]
+        self.k_last = K[6, 1 : N + 1]
         if err_norm > 0:
             h = h_try * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:

@@ -16,6 +16,9 @@ A run evaluates this field through one object: `GenericField` for any
 problem, or its per-mode compilation (`compiled_field`) when the problem's
 types make each mode quadratic, y' = M_sigma y + c_sigma + (B_sigma x) y:
 `QuadraticField`, or its B-free case `AffineField` (affine inequalities).
+A field's `stage` runs on the augmented state z = (1, y); a compiled mode's
+stage is one matrix W_sigma acting on vec((1, x) (x) z), giving y' and g(x)
+in one product.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "AffineField",
     "GenericField",
     "QuadraticField",
-    "affine_field",
     "compiled_field",
     "ComposedSystem",
     "FullState",
@@ -156,8 +158,9 @@ class GenericField:
         return np.concatenate([-(self.tau_x_inv @ grad), lam_dot, mu_dot])
 
     def stage(self, sigma, clamped):
-        """The frozen field of mode sigma as f(t, y); `clamped` is its mask."""
-        return lambda t, y: self.rates(t, y, clamped)
+        """The frozen field of mode sigma as f(t, z) on the augmented state
+        z = (1, y), returning y'; `clamped` is its mask."""
+        return lambda t, z: self.rates(t, z[1:], clamped)
 
     def affine_in(self, sigma, y) -> bool:
         """Whether mode sigma's field is affine at y, so the exact flow applies."""
@@ -197,7 +200,8 @@ class QuadraticField(GenericField):
     x rows by mu_i columns and 0.5 P_i / tau_mu_i in the mu_i rows by x columns.
     A mode's [[M, c], [0, 0]] and B zero the mu rows of its clamped indices,
     so once every curved row (P_i != 0) is clamped with mu_i = 0 the mode is
-    affine, y' = M_sigma y + c_sigma, and runs exactly (`affine_in`).
+    affine, y' = M_sigma y + c_sigma, and runs exactly (`affine_in`). Other
+    modes take DP5(4) steps whose stages (`stage`) also give g.
     """
 
     def __init__(self, sys: ComposedSystem, v=None):
@@ -256,14 +260,20 @@ class QuadraticField(GenericField):
         return g
 
     def stage(self, sigma, clamped):
-        """One matvec plus one bilinear product per stage."""
+        """f(t, z) = W_sigma vec((1, x) (x) z) = (y', g(x)) on z = (1, y): one
+        broadcast product and one matmul give a stage's rates and constraint
+        values. W (N + p, n + 1, N + 1) holds c, M and B in the rate rows and
+        d, G and 0.5 P in the g rows; its clamped mu rows are zero."""
         Z, B = self.mode(sigma)
-        N, n = self.size, self.n
-        ZL, zc = Z[:N, :N].copy(), Z[:N, N].copy()
-        if B is None:
-            return lambda t, y: ZL @ y + zc
-        BL = B.reshape(N * N, n)
-        return lambda t, y: ZL @ y + zc + (BL @ y[:n]).reshape(N, N) @ y
+        N, n, p = self.size, self.n, self.p
+        W = np.zeros((N + p, n + 1, N + 1))
+        W[:N, 0, 0], W[:N, 0, 1:] = Z[:N, N], Z[:N, :N]
+        W[N:, 0, 0], W[N:, 0, 1 : n + 1] = self.d, self.G
+        if B is not None:
+            W[:N, 1:, 1:] = B.transpose(0, 2, 1)
+            W[N:, 1:, 1 : n + 1] = 0.5 * self.P
+        W = W.reshape(N + p, -1)
+        return lambda t, z: W @ (z[: n + 1, None] * z).ravel()
 
     def derivatives(self, Y: np.ndarray, sigmas, times=None) -> np.ndarray:
         """Field at each row of Y under that row's mode, one product per run of equal modes."""
@@ -296,8 +306,3 @@ def compiled_field(sys: ComposedSystem, v=None) -> QuadraticField | None:
         return None
     return (AffineField if stack[0] is None else QuadraticField)(sys, v)
 
-
-def affine_field(sys: ComposedSystem, v=None) -> AffineField | None:
-    """`compiled_field` when every inequality is affine, else None."""
-    stack = sys.proj._stack
-    return compiled_field(sys, v) if stack is not None and stack[0] is None else None

@@ -22,7 +22,7 @@ from pdflow import (
     quadratic_problem,
     simulate,
 )
-from pdflow.interconnect import affine_field
+from pdflow.interconnect import AffineField, compiled_field
 from conftest import random_qp_instance
 from test_acceptance import BATCH_OPTS, BATCH_SIZE, MASTER_SEED
 
@@ -118,7 +118,8 @@ def test_compiled_field_matches_composed_vector_field():
         sys_ = compose(problem, rng.uniform(0.5, 2.0, problem.n),
                        rng.uniform(0.5, 2.0, problem.m), rng.uniform(0.5, 2.0, problem.p))
         v = rng.normal(size=problem.n)
-        field = affine_field(sys_, v)
+        field = compiled_field(sys_, v)
+        assert isinstance(field, AffineField)
         states = [
             FullState(anchor + rng.normal(size=problem.n), rng.normal(size=problem.m),
                       rng.uniform(0.0, 1.0, problem.p),
@@ -137,11 +138,11 @@ def test_compiled_field_matches_composed_vector_field():
 def test_path_is_chosen_from_the_problem_types():
     prob = quadratic_problem([[2.0]], [-4.0], 4.0, G=[[1.0]], d=[-1.0])
     sys_ = compose(prob, [1.0], [], [1.0])
-    assert affine_field(sys_) is not None
-    assert affine_field(compose(_as_smooth(prob), [1.0], [], [1.0])) is None
+    assert isinstance(compiled_field(sys_), AffineField)
+    assert compiled_field(compose(_as_smooth(prob), [1.0], [], [1.0])) is None
     curved = ConvexProblem(prob.objective, prob.equality,
                            (QuadraticScalar([[1.0]], [0.0], -1.0),), 1)
-    assert affine_field(compose(curved, [1.0], [], [1.0])) is None
+    assert not isinstance(compiled_field(compose(curved, [1.0], [], [1.0])), AffineField)
 
     opts = IntegratorOptions(horizon=4.0, dt_max=0.05, record_stride=0.5, rtol=1e-6)
     start = full_state(sys_, [0.0], mu=[0.5])

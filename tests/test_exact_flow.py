@@ -5,7 +5,7 @@ import pytest
 
 from pdflow import IntegratorOptions, compose, full_state, quadratic_problem, simulate
 from pdflow import integrator
-from pdflow.interconnect import affine_field
+from pdflow.interconnect import AffineField, compiled_field
 from pdflow.matrix_exp import expm
 from conftest import as_generic, random_qp_instance
 
@@ -137,7 +137,9 @@ def test_chunks_sample_the_stride_sequence_on_the_exact_flow(monkeypatch):
         want.append(min(t, 12.0))
     assert traj.times.tolist() == want
     assert want != [0.3 * k for k in range(41)]
-    Z = affine_field(sys_).augmented(traj.sigma[0])
+    field = compiled_field(sys_)
+    assert isinstance(field, AffineField)
+    Z = field.augmented(traj.sigma[0])
     z0 = np.append(np.concatenate([start.x, start.lam, start.mu]), 1.0)
     for t_k, y in zip(traj.times, np.hstack([traj.x, traj.lam, traj.mu])):
         assert _close(y, (expm(t_k * Z) @ z0)[:-1], 1e-12)

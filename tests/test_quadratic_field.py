@@ -2,10 +2,10 @@
 
 A problem with a Quadratic objective and affine or quadratic inequalities
 under a constant input runs on `QuadraticField`: each DP5(4) stage is one
-matvec plus one bilinear product, and a mode whose curved constraints are all
-clamped at mu = 0 is affine and follows the exact flow. Wrapping the same
-data in SmoothScalar (`as_generic`) sends it through `GenericField`, which
-calls the oracles at every stage. A run that stays on DP5(4) takes the same
+product W_sigma vec((1, x) (x) (1, y)) giving the rates and g, and a mode
+whose curved constraints are all clamped at mu = 0 is affine and follows the
+exact flow. Wrapping the same data in SmoothScalar (`as_generic`) sends it
+through `GenericField`, which calls the oracles at every stage. A run that stays on DP5(4) takes the same
 steps on both paths, so it must produce the same run: switch ledgers, sample
 counts, event times, states and derived columns. A run that reaches an affine
 mode must give the same ledger, samples and modes, and be at least as
@@ -31,7 +31,7 @@ from pdflow import (
     simulate,
 )
 from pdflow.integrator import DivergenceError, _Engine, _ExactMode
-from pdflow.interconnect import GenericField, QuadraticField, affine_field, compiled_field
+from pdflow.interconnect import AffineField, GenericField, QuadraticField, compiled_field
 from pdflow.matrix_exp import expm
 from conftest import as_generic
 
@@ -131,14 +131,18 @@ def test_compiled_and_generic_qcqp_runs_agree(path_pairs):
 
 
 def test_quadratic_field_matches_composed_vector_field():
+    # a stage is one product W_sigma vec((1, x) (x) (1, y)) = (y', g(x)),
+    # clamped curved rows included
     rng = np.random.default_rng(23)
+    clamped_curved = no_equalities = 0
     for _ in range(20):
         problem, taus, x0, _ = random_qcqp(rng)
         sys_ = compose(problem, *taus)
         v = rng.normal(size=problem.n)
         field = compiled_field(sys_, v)
         assert isinstance(field, QuadraticField)
-        p = problem.p
+        p, N = problem.p, field.size
+        no_equalities += problem.m == 0
         states = [
             FullState(x0 + rng.normal(size=problem.n), rng.normal(size=problem.m),
                       rng.uniform(0.0, 1.0, p),
@@ -150,9 +154,36 @@ def test_quadratic_field_matches_composed_vector_field():
         for k, st in enumerate(states):
             ref = np.concatenate(composed_vector_field(sys_, st, v))
             mask = np.isin(np.arange(p), sorted(st.sigma))
-            assert np.allclose(field.stage(st.sigma, mask)(0.0, Y[k]), ref,
+            out = field.stage(st.sigma, mask)(0.0, np.append(1.0, Y[k]))
+            assert np.allclose(out[:N], ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(out[N:], field.constraint_values(st.x[None])[0],
                                rtol=1e-12, atol=1e-12)
+            assert np.allclose(out[N:], sys_.proj.values(st.x), rtol=1e-12, atol=1e-12)
             assert np.allclose(D[k], ref, rtol=1e-12, atol=1e-12)
+            clamped_curved += bool(st.sigma & field.curved)
+    assert clamped_curved >= 10 and no_equalities >= 5
+
+
+def test_the_sign_test_reads_g_at_the_step_end(monkeypatch):
+    # a DP5(4) step's last stage carries g at its endpoint, which the sign
+    # test uses in place of a separate g call; every crossed span must hand
+    # the locator the event functions of its end state
+    seen = []
+    apply = _Engine._apply_first_event
+    monkeypatch.setattr(_Engine, "_apply_first_event",
+                        lambda self, event, t_a, h, phi_a, phi_end, y_end:
+                        seen.append((self.sigma, phi_end.copy(), y_end.copy()))
+                        or apply(self, event, t_a, h, phi_a, phi_end, y_end))
+    traj = _swing([0.05, 0.0])
+    assert traj.stats["rhs_evals"] > 0 and traj.ledger
+    g_events = 0
+    for sigma, phi_end, y_end in seen:
+        clamped = np.isin([0, 1], sorted(sigma))
+        g = np.array([0.5 * y_end[0] ** 2 - 1.125, y_end[0] - 1.0])
+        want = np.where(clamped, -g, y_end[1:])
+        assert np.allclose(phi_end, want, rtol=0.0, atol=1e-13)
+        g_events += bool(clamped.any())
+    assert g_events >= 1
 
 
 def _spy_on_oracle_stages(monkeypatch):
@@ -168,7 +199,7 @@ def test_curved_problems_with_constant_input_take_the_compiled_field(monkeypatch
                            (QuadraticScalar([[1.0]], [0.0], -1.0), AffineScalar([1.0], -3.0)), 1)
     sys_ = compose(curved, [1.0], [], [1.0, 1.0])
     assert isinstance(compiled_field(sys_), QuadraticField)
-    assert affine_field(sys_) is None
+    assert not isinstance(compiled_field(sys_), AffineField)
     assert compiled_field(compose(as_generic(curved), [1.0], [], [1.0, 1.0])) is None
 
     calls = _spy_on_oracle_stages(monkeypatch)

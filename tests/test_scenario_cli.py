@@ -117,6 +117,31 @@ def test_simulate_horizon_zero_single_row(tmp_path, scenario_dir):
     assert len(rows) == 1
 
 
+def test_main_dispatches_to_the_current_command_functions(tmp_path, scenario_dir, monkeypatch,
+                                                          capsys):
+    # the parser is built once per process; the command is looked up at each call
+    scn = str(scenario_dir / "scalar_ineq.json")
+    assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "a"),
+                 "--horizon", "0"]) == 0
+    seen = []
+    monkeypatch.setattr(pdflow.cli, "cmd_simulate", lambda args: seen.append(args.scenario) or 7)
+    assert main(["simulate", "--scenario", scn]) == 7
+    assert seen == [scn]
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: pdflow [-h]")
+    assert "{simulate,verify,oracle,hvac-day,selftest}" in helps[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_simulate_artifacts_deterministic(tmp_path, scenario_dir):
     digests = []
     for sub in ("a", "b"):
