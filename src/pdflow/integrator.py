@@ -18,8 +18,10 @@ mu_i = 0, so the bilinear terms mu_i P_i x vanish. The path is chosen per mode:
   one batched matmul gives the state at every grid point of a chunk, one
   sign test finds the first sub-step that crosses, and the chunk records
   each sample before it. A remainder exp(r Z_sigma), r < h, reaches the next
-  record time after an event, or a horizon off the grid. The exponentials
-  come from `matrix_exp.expm`.
+  record time after an event, or a horizon off the grid. A mode's Taylor
+  table T_k = (h Z_sigma)^k / k! (`matrix_exp.taylor_table`) gives every
+  exponential: exp(s Z_sigma) z = sum (s/h)^k T_k z for s <= h. Modes beyond
+  the table's range use `matrix_exp.expm`.
 - Other modes take adaptive Dormand-Prince 5(4) steps over the frozen field
   of the mode (`stage`) and test event signs at the end of each accepted
   step. One step loop serves every field: stages run on the augmented state
@@ -31,8 +33,9 @@ mu_i = 0, so the bilinear terms mu_i P_i x vanish. The path is chosen per mode:
 
 Event i's function is phi_i = mu_i off sigma and -g_i on it. One
 safeguarded Newton method locates each crossing of a span from phi_i and its
-exact slope at a candidate state: exp(s Z) z in affine modes; in DP5(4) modes
-a single exact-length step from the step start (an integrator state, not an
+exact slope at a candidate state: exp(s Z) z in affine modes, a polynomial in s
+once T_k z is formed for the crossed sub-step; in DP5(4) modes a single
+exact-length step from the step start (an integrator state, not an
 interpolant) and the field there. The earliest point is applied, just past
 its crossing with phi_i within event_tol on the post side; sigma is
 recomputed, and the events are classified and appended to the ledger. Samples
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .interconnect import ComposedSystem, FullState, GenericField, QuadraticField, compiled_field
-from .matrix_exp import expm
+from .matrix_exp import expm, taylor_table
 from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
 __all__ = [
@@ -207,6 +210,8 @@ STAT_KEYS = (
 
 # Most exponentials exp(k h Z) one mode caches; longer spans go in chunks.
 _STACK_CAP = 64
+# Largest K of a mode's Taylor table T_0..T_K; a stiffer mode uses `expm`.
+_TAYLOR_CAP = 30
 
 
 def _event_values(clamped, mu, g):
@@ -216,7 +221,10 @@ def _event_values(clamped, mu, g):
 
 
 class _ExactMode:
-    """One affine mode: Z_sigma, its cached exponentials, its event rows.
+    """One affine mode: Z_sigma, its Taylor table, cached exponentials, event rows.
+
+    `table` holds T_k = (dt Z)^k / k! for k = 0..K (None beyond _TAYLOR_CAP
+    terms), so exp(s Z) z = sum (s/dt)^k T_k z for s <= dt (`flow`).
 
     Row i of `event_rows` is c_i with c_i . z event i's function; row i of
     `event_slopes` is c_i Z, so c_i Z z is its exact derivative. A QCQP's
@@ -235,7 +243,9 @@ class _ExactMode:
         self.event_slopes = self.event_rows @ Z
         self.P, self.n = field.P, field.n
         self.dt = dt
-        self.stack = None
+        self.table = taylor_table(dt * Z, _TAYLOR_CAP)
+        # exp(k dt Z) for k = 1.. (`powers`); the table summed smallest terms first
+        self.stack = (expm(dt * Z) if self.table is None else self.table[::-1].sum(axis=0))[None]
 
     def event(self, i, z):
         """(phi_i, its slope) at the augmented state z."""
@@ -246,9 +256,17 @@ class _ExactMode:
             slope -= float(Px @ (self.Z[: self.n] @ z))
         return phi, slope
 
+    def flow(self, z):
+        """s -> exp(s Z) z for 0 < s <= dt: a polynomial from the table's T_k z,
+        formed here once, or a Pade exponential per s for a mode without one."""
+        if self.table is None:
+            return lambda s: expm(s * self.Z) @ z
+        V = self.table @ z
+        return lambda s: (s / self.dt) ** np.arange(len(V)) @ V
+
     def powers(self, K: int) -> np.ndarray:
         """exp(k dt Z) for k = 1..K, K <= _STACK_CAP; the stack grows by doubling."""
-        S = expm(self.dt * self.Z)[None] if self.stack is None else self.stack
+        S = self.stack
         while len(S) < K:
             L = len(S)
             S = np.concatenate([S, S[: min(L, K - L)] @ S[L - 1]])
@@ -430,14 +448,13 @@ class _Engine:
             return self._sample(t, self.y)
         t_stop = self.opts.horizon if on_grid else rec
         K = min(int((t_stop - t + tiny) // h), _STACK_CAP)
+        z = np.append(self.y, 1.0)
         if K:
-            E = mode.powers(K)
+            X = mode.powers(K)[:, :-1] @ z
         else:  # the remainder sub-step
             h = t_stop - t
-            E = expm(h * mode.Z)[None]
-        times = t + h * np.arange(1, len(E) + 1)
-        z = np.append(self.y, 1.0)
-        X = E[:, :-1] @ z
+            X = mode.flow(z)(h)[None, :-1]
+        times = t + h * np.arange(1, len(X) + 1)
         if not np.isfinite(X).all():
             raise DivergenceError(f"non-finite state after t={t!r}", t, self.y.copy())
         k = len(X)  # the first row past a crossing
@@ -461,8 +478,10 @@ class _Engine:
         t_a = t if k == 0 else float(times[k - 1])
         z_a = z if k == 0 else np.append(X[k - 1], 1.0)
 
+        flow = mode.flow(z_a)
+
         def event(i, s):
-            z = expm(s * mode.Z) @ z_a
+            z = flow(s)
             return (*mode.event(i, z), z[:-1])
 
         phi_a = [mode.event(i, z_a)[0] for i in range(self.p)]

@@ -1,11 +1,14 @@
 """The matrix exponential, numpy only.
 
 Affine runs propagate each mode exactly as z(t + h) = exp(h Z) z(t) (see
-`integrator`); this module computes exp by scaling and squaring with a Pade
-approximant (Higham, "The scaling and squaring method for the matrix
-exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005; Moler & Van
-Loan, "Nineteen dubious ways to compute the exponential of a matrix",
-SIAM Rev. 45, 2003).
+`integrator`). `taylor_table` gives the terms (h Z)^k / k! of a mode's
+exponential, truncated where the y-block's norm makes the tail negligible
+(Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM J.
+Sci. Comput. 33, 2011). `expm` serves the modes beyond the table's range and
+is the tests' reference: scaling and squaring with a Pade approximant
+(Higham, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26, 2005; Moler & Van Loan, "Nineteen
+dubious ways to compute the exponential of a matrix", SIAM Rev. 45, 2003).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expm"]
+__all__ = ["expm", "taylor_table"]
 
 # Pade degree -> (largest 1-norm the degree serves, numerator coefficients).
 _PADE = {
@@ -72,3 +75,29 @@ def expm(A) -> np.ndarray:
     zero = ~A.any(axis=1)
     E[zero] = ident[zero]
     return E
+
+
+def taylor_table(A, cap: int):
+    """The terms A^k / k!, k = 0..K, whose sum is exp(A) to unit roundoff, or
+    None when that takes K > cap.
+
+    A = [[B, c], [0, 0]] is augmented, so A^k = [[B^(k-1), 0], [0, 0]] A and
+    ||A^k||_1 <= ||A||_1 ||B||_1^(k-1): B's norm sets K, however large the
+    constant column c. Powers are formed by doubling; a zero row of A gives
+    the identity's row exactly, as under `expm`.
+    """
+    A = np.asarray(A, dtype=float)
+    a = float(np.abs(A[:-1, :-1]).sum(axis=0).max(initial=0.0))
+    term = float(np.abs(A).sum(axis=0).max(initial=0.0))  # bounds ||A^(K+1)|| / (K+1)!
+    for K in range(cap + 1):
+        if term <= 2.0**-53 * (1.0 - a / (K + 2)):  # the tail, a geometric series
+            break
+        term *= a / (K + 2)
+    else:
+        return None
+    P = A[None]
+    while len(P) < K:
+        L = len(P)
+        P = np.concatenate([P, P[: min(L, K - L)] @ P[L - 1]])
+    return np.concatenate([np.eye(len(A))[None],
+                           P[:K] / np.cumprod(np.arange(1.0, K + 1))[:, None, None]])

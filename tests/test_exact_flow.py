@@ -1,13 +1,19 @@
-"""The exact per-mode flow of affine runs: the matrix exponential and the engine's use of it."""
+"""The exact per-mode flow of affine runs: the matrix exponential, each mode's
+Taylor table, and the engine's use of them."""
 
 import numpy as np
 import pytest
 
-from pdflow import IntegratorOptions, compose, full_state, quadratic_problem, simulate
+from pdflow import (AffineMap, AffineScalar, ConvexProblem, IntegratorOptions, Quadratic,
+                    QuadraticScalar, compose, full_state, quadratic_problem, simulate)
 from pdflow import integrator
-from pdflow.interconnect import AffineField, compiled_field
-from pdflow.matrix_exp import expm
-from conftest import as_generic, random_qp_instance
+from pdflow.interconnect import AffineField, QuadraticField, compiled_field
+from pdflow.matrix_exp import expm, taylor_table
+from pdflow.scenario import load_scenario
+from conftest import SCENARIO_DIR, as_generic, composed_for, initial_for, random_qp_instance
+
+# the acceptance batch's options: grid h = 2.0 / ceil(2.0 / 0.2) = 0.2
+BATCH = IntegratorOptions(horizon=80.0, dt_max=0.2, record_stride=2.0, rtol=1e-9)
 
 
 def _close(a, b, rtol):
@@ -58,13 +64,90 @@ def test_expm_keeps_zero_rows_exact():
     assert np.isnan(expm(np.array([[np.inf]]))).all()
 
 
-def test_stiff_mode_matches_the_generic_path_in_far_fewer_steps():
-    # H with eigenvalues 1e-2..1e4: explicit steps are held near 3e-4 s by stability
+def test_taylor_table_keeps_zero_rows_exact():
+    Z = np.array([[-2.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for h in (1e-3, 0.2, 1.0):
+        E = taylor_table(h * Z, integrator._TAYLOR_CAP).sum(axis=0)
+        assert E[1].tolist() == [0.0, 1.0, 0.0]
+        assert E[2].tolist() == [0.0, 0.0, 1.0]
+        assert E[0, 0] == pytest.approx(np.exp(-2.0 * h), rel=1e-14)
+    assert taylor_table(50.0 * Z, integrator._TAYLOR_CAP) is None
+
+
+def _qcqp_field():
+    """A QCQP's compiled field: constraint 0 curved, 1 affine."""
+    H = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 3.0]])
+    cons = (QuadraticScalar(np.diag([1.0, 0.5, 2.0]), [0.3, -0.2, 0.1], -1.0),
+            AffineScalar([1.0, 1.0, -0.5], -0.4))
+    problem = ConvexProblem(Quadratic(H, [1.0, -1.0, 0.5]), AffineMap([[1.0, -1.0, 1.0]], [0.2]),
+                            cons, 3)
+    return compiled_field(compose(problem, [1.0, 0.7, 1.3], [0.8], [1.0, 1.5]))
+
+
+def _agrees_with_expm(field, sigma, h):
+    """The mode's table serves its step and its flow as `expm` does, to ~1e-14."""
+    mode = integrator._ExactMode(field, sigma, h)
+    assert mode.table is not None
+    E = expm(h * mode.Z)
+    assert _close(mode.powers(1)[0], E, 1e-14)
+    for i in field.imu + np.array(sorted(sigma), dtype=int):  # clamped rows stay unit rows
+        assert mode.powers(1)[0, i].tolist() == np.eye(len(E))[i].tolist()
+    z = np.append(np.linspace(-1.0, 2.0, len(E) - 1), 1.0)
+    for s in (1e-3 * h, 0.37 * h, h):
+        assert _close(mode.flow(z)(s), expm(s * mode.Z) @ z, 1e-14)
+    return mode
+
+
+def test_taylor_table_matches_expm_on_qp_qcqp_and_hvac_modes():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        field = compiled_field(composed_for(random_qp_instance(rng)[0]))
+        for sigma in (frozenset(), frozenset(range(0, field.p, 2))):
+            _agrees_with_expm(field, sigma, 0.2)
+    field = _qcqp_field()
+    assert isinstance(field, QuadraticField)
+    for sigma in (frozenset({0}), frozenset({0, 1})):  # the curved row clamped: affine
+        assert field.affine_in(sigma, np.zeros(6))
+        _agrees_with_expm(field, sigma, 0.2)
+    # the welfare problem's constant column is ~90 times its y-block's norm
+    scn = load_scenario(SCENARIO_DIR / "hvac_four_zone.json")
+    field, h = compiled_field(scn.composed), 0.05
+    for sigma in (frozenset(), frozenset({0, 5})):
+        mode = _agrees_with_expm(field, sigma, h)
+        hM = h * mode.Z[:-1, :-1]
+        assert np.abs(h * mode.Z).sum(axis=0).max() > 50 * np.abs(hM).sum(axis=0).max()
+
+
+def test_an_evented_batch_run_calls_no_pade_exponential(monkeypatch):
+    calls = []
+    monkeypatch.setattr(integrator, "expm", lambda A: calls.append(A) or expm(A))
+    rng = np.random.default_rng(2026)
+    events = newton = 0
+    for _ in range(10):
+        problem, anchor = random_qp_instance(rng)
+        traj = simulate(*initial_for(problem, rng, anchor), BATCH)
+        events += len(traj.ledger)
+        newton += traj.stats["bisection_propagations"]
+    assert events and newton and not calls
+
+
+def _stiff_problem():
+    """H with eigenvalues 1e-2..1e4: explicit steps are held near 3e-4 s by stability."""
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     H = Q @ np.diag(np.logspace(-2, 4, 4)) @ Q.T
-    prob = quadratic_problem(0.5 * (H + H.T), rng.normal(size=4), 0.0,
+    return quadratic_problem(0.5 * (H + H.T), rng.normal(size=4), 0.0,
                              G=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]], d=[-0.2, -0.05])
+
+
+def test_a_stiff_mode_gets_no_taylor_table():
+    field = compiled_field(compose(_stiff_problem(), np.ones(4), [], np.ones(2)))
+    for sigma in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
+        assert integrator._ExactMode(field, sigma, 0.1).table is None
+
+
+def test_stiff_mode_matches_the_generic_path_in_far_fewer_steps():
+    prob = _stiff_problem()
     opts = IntegratorOptions(horizon=2.0, dt_max=0.1, record_stride=0.5, rtol=1e-13, atol=1e-13)
     runs = []
     for p in (prob, as_generic(prob)):

@@ -270,8 +270,10 @@ def test_stiff_affine_run_settles():
 
 
 def test_affine_divergence_error_carries_last_state(monkeypatch):
-    # every batch of exact sub-steps is checked for finite values
-    monkeypatch.setattr("pdflow.integrator.expm", lambda A: np.full_like(A, np.inf))
+    # every batch of exact sub-steps is checked for finite values; the mode's
+    # exponentials come from its Taylor table
+    monkeypatch.setattr("pdflow.integrator.taylor_table",
+                        lambda A, cap: np.full((2, *A.shape), np.inf))
     sys = compose(SCALAR, [1.0], [], [])
     opts = IntegratorOptions(horizon=1.0, dt_max=0.1, record_stride=0.5)
     with pytest.raises(DivergenceError) as info:
