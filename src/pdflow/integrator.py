@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .interconnect import ComposedSystem, FullState, GenericField, QuadraticField, compiled_field
-from .matrix_exp import expm, taylor_table
+from .matrix_exp import expm, power_stack, taylor_table
 from .switching import ProjectionSystem, SwitchEvent, classify_switch, compute_sigma
 
 __all__ = [
@@ -266,12 +266,8 @@ class _ExactMode:
 
     def powers(self, K: int) -> np.ndarray:
         """exp(k dt Z) for k = 1..K, K <= _STACK_CAP; the stack grows by doubling."""
-        S = self.stack
-        while len(S) < K:
-            L = len(S)
-            S = np.concatenate([S, S[: min(L, K - L)] @ S[L - 1]])
-        self.stack = S
-        return S[:K]
+        self.stack = power_stack(self.stack, K)
+        return self.stack[:K]
 
 
 class _Engine:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expm", "taylor_table"]
+__all__ = ["expm", "power_stack", "taylor_table"]
 
 # Pade degree -> (largest 1-norm the degree serves, numerator coefficients).
 _PADE = {
@@ -83,7 +83,7 @@ def taylor_table(A, cap: int):
 
     A = [[B, c], [0, 0]] is augmented, so A^k = [[B^(k-1), 0], [0, 0]] A and
     ||A^k||_1 <= ||A||_1 ||B||_1^(k-1): B's norm sets K, however large the
-    constant column c. Powers are formed by doubling; a zero row of A gives
+    constant column c. Powers come from `power_stack`; a zero row of A gives
     the identity's row exactly, as under `expm`.
     """
     A = np.asarray(A, dtype=float)
@@ -95,9 +95,15 @@ def taylor_table(A, cap: int):
         term *= a / (K + 2)
     else:
         return None
-    P = A[None]
-    while len(P) < K:
-        L = len(P)
-        P = np.concatenate([P, P[: min(L, K - L)] @ P[L - 1]])
+    P = power_stack(A[None], K)[:K]
     return np.concatenate([np.eye(len(A))[None],
-                           P[:K] / np.cumprod(np.arange(1.0, K + 1))[:, None, None]])
+                           P / np.cumprod(np.arange(1.0, K + 1))[:, None, None]])
+
+
+def power_stack(S, K: int) -> np.ndarray:
+    """The stack S[k] = X^(k+1), if shorter, grown to K entries by doubling,
+    S[L:2L] = S[:L] @ S[L-1]: about log2(K) batched matmuls."""
+    while len(S) < K:
+        L = len(S)
+        S = np.concatenate([S, S[: min(L, K - L)] @ S[L - 1]])
+    return S
